@@ -16,21 +16,7 @@ import numpy as np
 from .cyclotomic import Cyclotomic
 from .errors import InternalInconsistencyError
 from .gfq import charpoly_mod, nullspace_mod, poly_roots_mod, rref_mod
-from .groups import PermGroup, is_prime
-
-
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+from .groups import PermGroup, is_prime, prime_divisors
 
 
 def _admissible_primes(e, order):
@@ -45,7 +31,7 @@ def _root_of_unity(e, q):
     """Deterministic element of exact multiplicative order e in GF(q)."""
     if e == 1:
         return 1
-    parts = _prime_factors(e)
+    parts = prime_divisors(e)
     for a in range(2, q):
         z = pow(a, (q - 1) // e, q)
         if z != 1 and all(pow(z, e // p, q) != 1 for p in parts):
@@ -239,12 +225,7 @@ class CharacterTable:
         G = self.group
         classes = G.conjugacy_classes()
         return {
-            "group": {
-                "name": getattr(G, "name", None),
-                "order": G.order(),
-                "degree": G.degree,
-                "generators": [g.cycle_string() for g in G.generators],
-            },
+            "group": G.to_json(),
             "order": G.order(),
             "exponent": G.exponent(),
             "classes": [

@@ -4,12 +4,13 @@ import argparse
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 from .catalog import catalog_group, catalog_names, load_catalog
 from .characters import character_table
 from .errors import CatalogIntegrityError, FormataError, InternalInconsistencyError
-from .formations import Formation, prime_divisors, projector, residual
-from .groups import PermGroup, normal_subgroups
+from .formations import Formation, projector, residual
+from .groups import PermGroup, generate, normal_subgroups, prime_divisors
 from .headchars import (
     canonical_series,
     counting_report,
@@ -24,15 +25,6 @@ from .headchars import (
 from .perms import read_group_file
 
 VERIFY_FORMATIONS = ("nilpotent", "supersolvable", "metanilpotent", "nilpotent-length:2")
-
-
-def group_json(G):
-    return {
-        "name": getattr(G, "name", None),
-        "order": G.order(),
-        "degree": G.degree,
-        "generators": [g.cycle_string() for g in G.generators],
-    }
 
 
 def resolve_group(token):
@@ -77,7 +69,7 @@ def build_parser():
     sp = sub.add_parser("verify", help="run a theorem verifier")
     sp.add_argument(
         "target",
-        choices=["thm-a", "thm-b", "thm-c", "thm54", "counting", "counterexample-2S4", "all"],
+        choices=[*CHECKS, "counterexample-2S4", "all"],
     )
     sp.add_argument("group", nargs="?", help="catalog name or group file")
     sp.add_argument("--formation", default="nilpotent")
@@ -119,7 +111,7 @@ def _cmd_subgroup(args, which):
     if args.json:
         _print_json(
             {
-                "group": group_json(G),
+                "group": G.to_json(),
                 "formation": str(F),
                 which: {
                     "order": U.order(),
@@ -161,7 +153,7 @@ def _cmd_headchars(args):
     if args.json:
         _print_json(
             {
-                "group": group_json(G),
+                "group": G.to_json(),
                 "formation": str(F),
                 "count": len(heads),
                 "characters": [
@@ -177,6 +169,10 @@ def _cmd_headchars(args):
     for i, h in zip(rows, heads):
         print("row %d  degree %d" % (i, h.degree().as_int()))
     return 0
+
+
+def _verdict(rep):
+    return "PASS" if rep["summary"]["all_pass"] else "FAIL"
 
 
 def counterexample_report():
@@ -196,7 +192,7 @@ def counterexample_report():
     )
     return {
         "theorem": "extension-transfer-counterexample",
-        "group": group_json(G),
+        "group": G.to_json(),
         "formation": str(F),
         "instances": [
             {
@@ -217,79 +213,128 @@ def counterexample_report():
 def _counterexample_lines():
     rep = counterexample_report()
     wit = rep["instances"][0]["witnesses"]
-    ok = rep["summary"]["all_pass"]
     line = (
         "counterexample-2S4 supersolvable: %s (theta extends %d ways, phi extends %d ways, transfers fail as asserted)"
-        % ("PASS" if ok else "FAIL", wit["theta_extensions"], wit["phi_extensions"])
+        % (_verdict(rep), wit["theta_extensions"], wit["phi_extensions"])
     )
-    return [line], ok, rep
+    return [line], rep["summary"]["all_pass"], rep
 
 
-def _thm_a_lines(G, F, label, normals):
-    lines = []
-    ok = True
-    instances = []
-    hyp = None
-    for idx, N in enumerate(normals):
-        rep = theorem_a_report(G, F, N)
-        hyp = rep["summary"]["hypothesis"]
-        good = rep["summary"]["all_pass"]
-        ok = ok and good
-        instances.extend(rep["instances"])
-        lines.append(
-            "thm-a %s %s normal %d/%d (order %d): %s (%d/%d characters)"
-            % (
-                label,
-                F,
-                idx + 1,
-                len(normals),
-                N.order(),
-                "PASS" if good else "FAIL",
-                rep["summary"]["passed"],
-                rep["summary"]["characters"],
-            )
-        )
-    report = {
+def _all_pass(reports):
+    return all(rep["summary"]["all_pass"] for rep in reports)
+
+
+def _counting_line(rep, label, F, i, n):
+    wit = rep["instances"][0]["witnesses"]
+    return "counting %s %s: %s (heads %d, projector abelianization %d)" % (
+        label, F, _verdict(rep), wit["head_count"], wit["projector_abelianization"]
+    )
+
+
+def _thm54_line(rep, label, F, i, n):
+    summary = rep["summary"]
+    return "thm54 %s %s: %s (%d of %d irreducibles are heads)" % (
+        label, F, _verdict(rep), summary["head_count"], summary["characters"]
+    )
+
+
+def _thm_b_line(rep, label, F, i, n):
+    return "thm-b %s %s: %s (M order %d)" % (label, F, _verdict(rep), rep["summary"]["M_order"])
+
+
+def _thm_a_line(rep, label, F, i, n):
+    summary = rep["summary"]
+    return "thm-a %s %s normal %d/%d (order %d): %s (%d/%d characters)" % (
+        label, F, i + 1, n, summary["normal_order"], _verdict(rep),
+        summary["passed"], summary["characters"],
+    )
+
+
+def _thm_c_line(rep, label, F, i, n):
+    prime = rep["instances"][0]["inputs"]["prime"]
+    return "thm-c %s p=%d: %s (K order %d)" % (
+        label, prime, _verdict(rep), rep["summary"]["K_order"]
+    )
+
+
+def _once(G, option):
+    return [None]
+
+
+def _normals(G, words):
+    """The subgroup generated by the --normal words, or every normal subgroup."""
+    if words is None:
+        return normal_subgroups(G)
+    return [generate(G.degree, [w.strip() for w in words.split(";") if w.strip()])]
+
+
+def _primes(G, prime):
+    return [prime] if prime is not None else prime_divisors(G.order())
+
+
+def _single(G, F, targets, reports):
+    return reports[0]
+
+
+def _merge_thm_a(G, F, normals, reports):
+    instances = [inst for rep in reports for inst in rep["instances"]]
+    return {
         "theorem": "A",
-        "group": group_json(G),
+        "group": G.to_json(),
         "formation": str(F),
         "instances": instances,
         "summary": {
             "normals": len(normals),
             "characters": len(instances),
             "passed": sum(1 for inst in instances if inst["pass"]),
-            "all_pass": ok,
-            "hypothesis": hyp,
+            "all_pass": _all_pass(reports),
+            "hypothesis": reports[-1]["summary"]["hypothesis"],
         },
     }
-    return lines, ok, report
 
 
-def _thm_c_lines(G, label, primes):
-    lines = []
-    ok = True
-    instances = []
-    for p in primes:
-        rep = theorem_c_report(G, p)
-        good = rep["summary"]["all_pass"]
-        ok = ok and good
-        instances.extend(rep["instances"])
-        lines.append(
-            "thm-c %s p=%d: %s (K order %d)"
-            % (label, p, "PASS" if good else "FAIL", rep["summary"]["K_order"])
-        )
-    report = {
+def _merge_thm_c(G, F, primes, reports):
+    return {
         "theorem": "C",
-        "group": group_json(G),
+        "group": G.to_json(),
         "formation": None,
-        "instances": instances,
-        "summary": {"primes": list(primes), "all_pass": ok},
+        "instances": [inst for rep in reports for inst in rep["instances"]],
+        "summary": {"primes": list(primes), "all_pass": _all_pass(reports)},
     }
-    return lines, ok, report
 
 
-def _sorted_normals(G):
-    return sorted(normal_subgroups(G), key=lambda N: N.sort_key())
+class Check(NamedTuple):
+    """A verifier run on one group: one report call per target, one line each."""
+
+    report: Callable  # (G, F, target) -> report
+    line: Callable  # (report, label, F, index, count) -> output line
+    option: str | None = None  # the verify option that picks the targets
+    targets: Callable = _once  # (G, option value) -> targets
+    merge: Callable = _single  # (G, F, targets, reports) -> the --json report
+
+
+# The report functions are looked up as module globals at call time, so that
+# rebinding cli.<name>_report reaches both `verify <check>` and `verify all`.
+CHECKS = {
+    "counting": Check(lambda G, F, _: counting_report(G, F), _counting_line),
+    "thm54": Check(lambda G, F, _: theorem_54_report(G, F), _thm54_line),
+    "thm-b": Check(lambda G, F, _: theorem_b_report(G, F), _thm_b_line),
+    "thm-a": Check(
+        lambda G, F, N: theorem_a_report(G, F, N), _thm_a_line, "normal", _normals, _merge_thm_a
+    ),
+    "thm-c": Check(
+        lambda G, F, p: theorem_c_report(G, p), _thm_c_line, "prime", _primes, _merge_thm_c
+    ),
+}
+
+
+def _run_check(name, G, F, label, option=None):
+    """Run one check on G: (output lines, pass, JSON report)."""
+    check = CHECKS[name]
+    targets = check.targets(G, option)
+    reports = [check.report(G, F, target) for target in targets]
+    lines = [check.line(rep, label, F, i, len(reports)) for i, rep in enumerate(reports)]
+    return lines, _all_pass(reports), check.merge(G, F, targets, reports)
 
 
 def _cmd_verify(args):
@@ -302,71 +347,18 @@ def _cmd_verify(args):
         print("error: verify %s requires a group" % target, file=sys.stderr)
         return 2
 
-    if target == "counterexample-2S4":
-        lines, ok, rep = _counterexample_lines()
-        if args.json:
-            _print_json(rep)
-        else:
-            for line in lines:
-                print(line)
-        return 0 if ok else 1
-
     if target == "all":
         return _cmd_verify_all(args)
-
-    G = resolve_group(args.group)
-    label = group_label(G, args.group)
-    F = Formation.parse(args.formation)
-
-    if target == "thm-a":
-        if args.normal is not None:
-            words = [w.strip() for w in args.normal.split(";") if w.strip()]
-            from .groups import generate
-
-            normals = [generate(G.degree, words)]
-        else:
-            normals = _sorted_normals(G)
-        lines, ok, rep = _thm_a_lines(G, F, label, normals)
-    elif target == "thm-b":
-        rep = theorem_b_report(G, F)
-        ok = rep["summary"]["all_pass"]
-        lines = [
-            "thm-b %s %s: %s (M order %d)"
-            % (label, F, "PASS" if ok else "FAIL", rep["summary"]["M_order"])
-        ]
-    elif target == "thm-c":
-        primes = [args.prime] if args.prime is not None else prime_divisors(G.order())
-        if not primes:
-            lines, ok, rep = ["thm-c %s: no prime divisors, nothing to verify" % label], True, None
-        else:
-            lines, ok, rep = _thm_c_lines(G, label, primes)
-    elif target == "thm54":
-        rep = theorem_54_report(G, F)
-        ok = rep["summary"]["all_pass"]
-        lines = [
-            "thm54 %s %s: %s (%d of %d irreducibles are heads)"
-            % (
-                label,
-                F,
-                "PASS" if ok else "FAIL",
-                rep["summary"]["head_count"],
-                rep["summary"]["characters"],
-            )
-        ]
+    if target == "counterexample-2S4":
+        lines, ok, rep = _counterexample_lines()
     else:
-        rep = counting_report(G, F)
-        ok = rep["summary"]["all_pass"]
-        wit = rep["instances"][0]["witnesses"]
-        lines = [
-            "counting %s %s: %s (heads %d, projector abelianization %d)"
-            % (
-                label,
-                F,
-                "PASS" if ok else "FAIL",
-                wit["head_count"],
-                wit["projector_abelianization"],
-            )
-        ]
+        G = resolve_group(args.group)
+        label = group_label(G, args.group)
+        F = Formation.parse(args.formation)
+        option = CHECKS[target].option
+        lines, ok, rep = _run_check(target, G, F, label, option and getattr(args, option))
+        if not lines:  # thm-c on the trivial group
+            lines = ["%s %s: no prime divisors, nothing to verify" % (target, label)]
 
     if args.json:
         _print_json(rep)
@@ -379,81 +371,25 @@ def _cmd_verify(args):
 def _cmd_verify_all(args):
     lines = []
     runs = []
-    ok_all = True
 
-    def record(check_lines, ok, check, label, formation):
-        nonlocal ok_all
-        ok_all = ok_all and ok
-        lines.extend(check_lines)
-        runs.append(
-            {"check": check, "group": label, "formation": formation, "pass": ok}
-        )
+    def record(check, label, formation, result):
+        check_lines, ok, _ = result
+        if check_lines:  # thm-c has nothing to run on the trivial group
+            lines.extend(check_lines)
+            runs.append({"check": check, "group": label, "formation": formation, "pass": ok})
 
     formations = [Formation.parse(name) for name in VERIFY_FORMATIONS]
     for entry in load_catalog():
         G = entry.build()
         label = entry.name
-        normals = _sorted_normals(G)
         for F in formations:
-            rep = counting_report(G, F)
-            wit = rep["instances"][0]["witnesses"]
-            good = rep["summary"]["all_pass"]
-            record(
-                [
-                    "counting %s %s: %s (heads %d, projector abelianization %d)"
-                    % (
-                        label,
-                        F,
-                        "PASS" if good else "FAIL",
-                        wit["head_count"],
-                        wit["projector_abelianization"],
-                    )
-                ],
-                good,
-                "counting",
-                label,
-                str(F),
-            )
-            rep = theorem_54_report(G, F)
-            good = rep["summary"]["all_pass"]
-            record(
-                [
-                    "thm54 %s %s: %s (%d of %d irreducibles are heads)"
-                    % (
-                        label,
-                        F,
-                        "PASS" if good else "FAIL",
-                        rep["summary"]["head_count"],
-                        rep["summary"]["characters"],
-                    )
-                ],
-                good,
-                "thm54",
-                label,
-                str(F),
-            )
-            rep = theorem_b_report(G, F)
-            good = rep["summary"]["all_pass"]
-            record(
-                [
-                    "thm-b %s %s: %s (M order %d)"
-                    % (label, F, "PASS" if good else "FAIL", rep["summary"]["M_order"])
-                ],
-                good,
-                "thm-b",
-                label,
-                str(F),
-            )
-            a_lines, a_ok, _ = _thm_a_lines(G, F, label, normals)
-            record(a_lines, a_ok, "thm-a", label, str(F))
-        primes = prime_divisors(G.order())
-        if primes:
-            c_lines, c_ok, _ = _thm_c_lines(G, label, primes)
-            record(c_lines, c_ok, "thm-c", label, None)
-    ce_lines, ce_ok, _ = _counterexample_lines()
-    record(ce_lines, ce_ok, "counterexample-2S4", "2S4", "supersolvable")
+            for check in ("counting", "thm54", "thm-b", "thm-a"):
+                record(check, label, str(F), _run_check(check, G, F, label))
+        record("thm-c", label, None, _run_check("thm-c", G, None, label))
+    record("counterexample-2S4", "2S4", "supersolvable", _counterexample_lines())
 
     passed = sum(1 for r in runs if r["pass"])
+    ok_all = passed == len(runs)
     summary = "verify all: %d checks, %d passed, %s" % (
         len(runs),
         passed,

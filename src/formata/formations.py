@@ -20,6 +20,7 @@ from .groups import (
     is_prime,
     minimal_normal_subgroups,
     normal_subgroups,
+    prime_divisors,
     quotient,
     subgroup_product,
     sylow,
@@ -34,20 +35,6 @@ _KINDS = (
     "metanilpotent",
     "nilpotent_length",
 )
-
-
-def prime_divisors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def is_nilpotent(G):

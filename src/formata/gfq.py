@@ -1,97 +1,32 @@
 """Dense linear algebra over GF(q) on int64 arrays.
 
-Hot kernels carry numba-compiled variants with pure-numpy fallbacks; the
-fallback is forced by setting FORMATA_NO_NUMBA=1.  Results of both paths are
-identical (exact integer arithmetic mod q), only speed differs.
+Entries are kept reduced to 0..q-1.  Between two reductions mod q a kernel adds
+at most n products of two residues, plus one residue, where n is the inner
+dimension of its matrix products: the column count of A in matmul_mod, the size
+of A in charpoly_mod, and 1 in rref_mod, nullspace_mod and poly_roots_mod.
+That stays below 2**63 whenever n*(q-1)**2 < 2**63.  A larger modulus would
+overflow int64 silently, so every kernel rejects it with DomainError.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-if os.environ.get("FORMATA_NO_NUMBA"):
-    _HAVE_NUMBA = False
-else:
-    try:
-        from numba import njit as _njit
-
-        _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - depends on environment
-        _HAVE_NUMBA = False
-
-if not _HAVE_NUMBA:
-
-    def _njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
+from .errors import DomainError
 
 
-def backend_name():
-    return "numba" if _HAVE_NUMBA else "numpy"
+def _check_modulus(q, n=1):
+    """Reject a modulus for which n products of residues can overflow int64."""
+    if max(n, 1) * (q - 1) ** 2 >= 2**63:
+        raise DomainError(
+            "modulus %d too large for int64 kernels of inner dimension %d" % (q, n)
+        )
 
 
-def _pow_mod(a, e, q):
-    r = 1
-    a %= q
-    while e:
-        if e & 1:
-            r = (r * a) % q
-        a = (a * a) % q
-        e >>= 1
-    return r
-
-
-@_njit(cache=True)
-def _rref_loops(R, q):
-    m, n = R.shape
-    pivots = np.empty(min(m, n), dtype=np.int64)
-    npiv = 0
-    row = 0
-    for col in range(n):
-        if row >= m:
-            break
-        pr = -1
-        for r in range(row, m):
-            if R[r, col] != 0:
-                pr = r
-                break
-        if pr < 0:
-            continue
-        if pr != row:
-            for c in range(n):
-                tmp = R[row, c]
-                R[row, c] = R[pr, c]
-                R[pr, c] = tmp
-        # modular inverse by Fermat
-        inv = 1
-        a = R[row, col] % q
-        e = q - 2
-        while e:
-            if e & 1:
-                inv = (inv * a) % q
-            a = (a * a) % q
-            e >>= 1
-        for c in range(n):
-            R[row, c] = (R[row, c] * inv) % q
-        for r in range(m):
-            if r != row and R[r, col] != 0:
-                f = R[r, col]
-                for c in range(n):
-                    R[r, c] = (R[r, c] - f * R[row, c]) % q
-        pivots[npiv] = col
-        npiv += 1
-        row += 1
-    return pivots[:npiv]
-
-
-def _rref_numpy(R, q):
+def rref_mod(A, q):
+    """Reduced row echelon form mod q; returns (R, pivot column array)."""
+    _check_modulus(q)
+    R = np.array(A, dtype=np.int64) % q
     m, n = R.shape
     pivots = []
     row = 0
@@ -104,7 +39,7 @@ def _rref_numpy(R, q):
         pr = row + int(nz[0])
         if pr != row:
             R[[row, pr]] = R[[pr, row]]
-        inv = _pow_mod(int(R[row, col]), q - 2, q)
+        inv = pow(int(R[row, col]), q - 2, q)
         R[row] = (R[row] * inv) % q
         factors = R[:, col].copy()
         factors[row] = 0
@@ -112,17 +47,7 @@ def _rref_numpy(R, q):
         R %= q
         pivots.append(col)
         row += 1
-    return np.array(pivots, dtype=np.int64)
-
-
-def rref_mod(A, q):
-    """Reduced row echelon form mod q; returns (R, pivot column array)."""
-    R = np.array(A, dtype=np.int64) % q
-    if _HAVE_NUMBA:
-        pivots = _rref_loops(R, q)
-    else:
-        pivots = _rref_numpy(R, q)
-    return R, pivots
+    return R, np.array(pivots, dtype=np.int64)
 
 
 def nullspace_mod(A, q):
@@ -141,48 +66,13 @@ def nullspace_mod(A, q):
 
 
 def matmul_mod(A, B, q):
-    return (np.asarray(A, dtype=np.int64) @ np.asarray(B, dtype=np.int64)) % q
+    A = np.asarray(A, dtype=np.int64) % q
+    _check_modulus(q, A.shape[-1])
+    return (A @ (np.asarray(B, dtype=np.int64) % q)) % q
 
 
-@_njit(cache=True)
-def _hessenberg_loops(H, q):
-    n = H.shape[0]
-    for col in range(n - 2):
-        pr = -1
-        for r in range(col + 1, n):
-            if H[r, col] != 0:
-                pr = r
-                break
-        if pr < 0:
-            continue
-        if pr != col + 1:
-            for c in range(n):
-                tmp = H[col + 1, c]
-                H[col + 1, c] = H[pr, c]
-                H[pr, c] = tmp
-            for r in range(n):
-                tmp = H[r, col + 1]
-                H[r, col + 1] = H[r, pr]
-                H[r, pr] = tmp
-        inv = 1
-        a = H[col + 1, col] % q
-        e = q - 2
-        while e:
-            if e & 1:
-                inv = (inv * a) % q
-            a = (a * a) % q
-            e >>= 1
-        for r in range(col + 2, n):
-            if H[r, col] != 0:
-                f = (H[r, col] * inv) % q
-                for c in range(n):
-                    H[r, c] = (H[r, c] - f * H[col + 1, c]) % q
-                for rr in range(n):
-                    H[rr, col + 1] = (H[rr, col + 1] + f * H[rr, r]) % q
-    return H
-
-
-def _hessenberg_numpy(H, q):
+def _hessenberg(H, q):
+    """Reduce H in place to upper Hessenberg form by similarity mod q."""
     n = H.shape[0]
     for col in range(n - 2):
         nz = np.nonzero(H[col + 1 :, col])[0]
@@ -192,7 +82,7 @@ def _hessenberg_numpy(H, q):
         if pr != col + 1:
             H[[col + 1, pr]] = H[[pr, col + 1]]
             H[:, [col + 1, pr]] = H[:, [pr, col + 1]]
-        inv = _pow_mod(int(H[col + 1, col]), q - 2, q)
+        inv = pow(int(H[col + 1, col]), q - 2, q)
         f = (H[col + 2 :, col] * inv) % q
         H[col + 2 :] = (H[col + 2 :] - np.outer(f, H[col + 1])) % q
         H[:, col + 1] = (H[:, col + 1] + H[:, col + 2 :] @ f) % q
@@ -203,12 +93,10 @@ def charpoly_mod(A, q):
     """Characteristic polynomial mod q, ascending coefficients, monic."""
     A = np.array(A, dtype=np.int64) % q
     n = A.shape[0]
+    _check_modulus(q, n)
     if n == 0:
         return np.array([1], dtype=np.int64)
-    if _HAVE_NUMBA:
-        H = _hessenberg_loops(A, q)
-    else:
-        H = _hessenberg_numpy(A, q)
+    H = _hessenberg(A, q)
     # p_m(x) over leading principal minors of the Hessenberg form
     polys = [np.array([1], dtype=np.int64)]
     for m in range(1, n + 1):
@@ -226,33 +114,12 @@ def charpoly_mod(A, q):
     return polys[n]
 
 
-@_njit(cache=True)
-def _roots_loops(coeffs, q):
-    out = np.empty(q, dtype=np.int64)
-    cnt = 0
-    for x in range(q):
-        acc = 0
-        for i in range(len(coeffs) - 1, -1, -1):
-            acc = (acc * x + coeffs[i]) % q
-        if acc == 0:
-            out[cnt] = x
-            cnt += 1
-    return out[:cnt]
-
-
-def _roots_numpy(coeffs, q):
+def poly_roots_mod(coeffs, q):
+    """Sorted distinct roots in GF(q) of the polynomial (ascending coeffs)."""
+    _check_modulus(q)
+    coeffs = np.asarray(coeffs, dtype=np.int64) % q
     xs = np.arange(q, dtype=np.int64)
     acc = np.zeros(q, dtype=np.int64)
     for c in coeffs[::-1]:
         acc = (acc * xs + int(c)) % q
-    return xs[acc == 0]
-
-
-def poly_roots_mod(coeffs, q):
-    """Sorted distinct roots in GF(q) of the polynomial (ascending coeffs)."""
-    coeffs = np.asarray(coeffs, dtype=np.int64) % q
-    if _HAVE_NUMBA:
-        roots = _roots_loops(coeffs, q)
-    else:
-        roots = _roots_numpy(coeffs, q)
-    return [int(r) for r in roots]
+    return [int(r) for r in xs[acc == 0]]

@@ -19,7 +19,10 @@ from .perms import Perm
 
 def order_cap():
     """Largest group order the desk-scale algorithms will touch."""
-    return int(os.environ.get("FORMATA_MAX_ORDER", "5000"))
+    text = os.environ.get("FORMATA_MAX_ORDER", "5000")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise DomainError("FORMATA_MAX_ORDER must be a positive integer, got %r" % text)
+    return int(text)
 
 
 class StabilizerChain:
@@ -166,7 +169,6 @@ class PermGroup:
         self._normal_closure_memo = {}
         self._derived = None
         self._center = None
-        self._table = None
         self._residuals = {}
         self._projectors = {}
         self._quotients = {}
@@ -270,6 +272,15 @@ class PermGroup:
         G._element_set = self._element_set
         G._order = self._order
         return G
+
+    def to_json(self):
+        """Name (set on catalog groups), order, degree and generator cycles."""
+        return {
+            "name": getattr(self, "name", None),
+            "order": self.order(),
+            "degree": self.degree,
+            "generators": [g.cycle_string() for g in self.generators],
+        }
 
     def sort_key(self):
         """Fixed total order on subgroups: order first, then element list."""
@@ -479,6 +490,21 @@ def normalizer(G, U):
 
 def is_prime(p):
     return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
+
+
+def prime_divisors(n):
+    """The distinct primes dividing n, ascending."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def sylow(G, p):

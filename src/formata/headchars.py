@@ -56,15 +56,6 @@ def _product(G, A, B):
     return got
 
 
-def _group_json(G):
-    return {
-        "name": getattr(G, "name", None),
-        "order": G.order(),
-        "degree": G.degree,
-        "generators": [g.cycle_string() for g in G.generators],
-    }
-
-
 def _subgroup_json(U):
     return [g.cycle_string() for g in U.generators]
 
@@ -110,7 +101,7 @@ class CanonicalSeries:
 
     def to_json(self):
         return {
-            "group": _group_json(self.group),
+            "group": self.group.to_json(),
             "formation": str(self.formation),
             "projector": _subgroup_json(self.projector),
             "m": self.m,
@@ -313,7 +304,7 @@ def extension_transfer_check(G, K, L, F, theta, phi):
         raise InternalInconsistencyError("extension transfer failed under the hypothesis")
     return {
         "theorem": "extension-transfer",
-        "group": _group_json(G),
+        "group": G.to_json(),
         "formation": str(F),
         "hypothesis": hyp,
         "theta_extensions": len(chis),
@@ -534,7 +525,7 @@ def theorem_a_report(G, F, N):
     passed = sum(1 for inst in instances if inst["pass"])
     return {
         "theorem": "A",
-        "group": _group_json(G),
+        "group": G.to_json(),
         "formation": str(F),
         "instances": instances,
         "summary": {
@@ -584,7 +575,7 @@ def theorem_b_report(G, F):
     }
     return {
         "theorem": "B",
-        "group": _group_json(G),
+        "group": G.to_json(),
         "formation": str(F),
         "instances": [instance],
         "summary": {"all_pass": ok, "M_order": meet.order()},
@@ -629,7 +620,7 @@ def theorem_c_report(G, p):
     }
     return {
         "theorem": "C",
-        "group": _group_json(G),
+        "group": G.to_json(),
         "formation": None,
         "instances": [instance],
         "summary": {"all_pass": ok, "K_order": meet.order()},
@@ -656,7 +647,7 @@ def theorem_54_report(G, F):
     passed = sum(1 for inst in instances if inst["pass"])
     return {
         "theorem": "5.4",
-        "group": _group_json(G),
+        "group": G.to_json(),
         "formation": str(F),
         "instances": instances,
         "summary": {
@@ -670,8 +661,7 @@ def theorem_54_report(G, F):
 
 def counting_check(G, F):
     """Exactly |H/H'| head characters for a projector H."""
-    H = projector(G, F)
-    return len(fprime_ascending(G, F)) == H.order() // H.derived_subgroup().order()
+    return counting_report(G, F)["summary"]["all_pass"]
 
 
 def counting_report(G, F):
@@ -681,7 +671,7 @@ def counting_report(G, F):
     ok = count == target
     return {
         "theorem": "counting",
-        "group": _group_json(G),
+        "group": G.to_json(),
         "formation": str(F),
         "instances": [
             {

@@ -185,5 +185,9 @@ def format_group_text(degree, gens):
 
 
 def read_group_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_group_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CycleParseError(f"cannot read group file {path}: {exc}") from None
+    return parse_group_text(text)

@@ -1,0 +1,68 @@
+"""The names perfbench reaches into formata by must keep resolving.
+
+perfbench/spans.py wraps functions and methods by module and attribute name,
+and perfbench/workloads.py rebinds the cli report functions; a rename or a
+deletion there makes the benchmark crash, even where nothing in src/ calls
+the name.  The file is only read here, never changed.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from formata.groups import PermGroup
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+CLI_REPORTS = (
+    "counting_report",
+    "theorem_54_report",
+    "theorem_b_report",
+    "theorem_a_report",
+    "theorem_c_report",
+    "counterexample_report",
+)
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def traced_attributes(spans):
+    for specs in (spans.RECORDED, spans.HOT, spans.COUNTED):
+        for module, attr, _ in specs:
+            yield module, attr
+    for module, (_, attrs) in spans.LAYERS.items():
+        for attr in attrs:
+            yield module, attr
+    # wrapped by Tracer._install_counters
+    yield "groups", "closure_elements"
+    yield "groups", "PermGroup.conjugacy_classes"
+    yield "characters", "_dixon_once"
+
+
+def test_every_traced_attribute_resolves():
+    spans = load_spans()
+    modules = {}
+    for module, attr in traced_attributes(spans):
+        name = "formata." + module
+        modules[name] = importlib.import_module(name)
+        _, _, raw = spans._resolve(modules, module, attr)
+        assert callable(getattr(raw, "__func__", raw)), (module, attr)
+
+
+def test_cli_reports_are_module_globals():
+    cli = importlib.import_module("formata.cli")
+    for name in CLI_REPORTS:
+        assert callable(vars(cli)[name]), name
+
+
+def test_conjugacy_class_cache_attribute():
+    # the tracer reads G._classes to count only real class computations
+    G = PermGroup(3)
+    assert G._classes is None
+    G.conjugacy_classes()
+    assert G._classes is not None

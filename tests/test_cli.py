@@ -1,11 +1,19 @@
 """Command-line interface tests."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import formata
 import formata.cli as cli
+from formata.catalog import load_catalog
 from formata.cli import run_command
+from formata.errors import CycleParseError
+from formata.perms import read_group_file
 
 
 def run(capsys, *argv):
@@ -87,6 +95,18 @@ def test_verify_thm_c(capsys):
     assert "p=2" in out and "p=3" in out
 
 
+def test_verify_thm_c_trivial_group(capsys):
+    code, out, _ = run(capsys, "verify", "thm-c", "C1")
+    assert code == 0
+    assert out == "thm-c C1: no prime divisors, nothing to verify\n"
+    code, out, _ = run(capsys, "verify", "thm-c", "C1", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["theorem"] == "C"
+    assert payload["instances"] == []
+    assert payload["summary"] == {"primes": [], "all_pass": True}
+
+
 def test_verify_thm54(capsys):
     code, out, _ = run(capsys, "verify", "thm54", "S4", "--formation", "supersolvable")
     assert code == 0
@@ -160,6 +180,38 @@ def test_bad_prime_exit_2(capsys):
     assert code == 2
 
 
+def test_bad_order_cap_exit_2():
+    # a fresh process: catalog groups built by earlier tests would skip the cap
+    env = dict(os.environ, FORMATA_MAX_ORDER="abc")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(formata.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "formata.cli", "table", "S4"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: FORMATA_MAX_ORDER must be a positive integer, got 'abc'\n"
+
+
+def test_group_file_not_utf8_exit_2(capsys, tmp_path):
+    path = tmp_path / "latin1.grp"
+    path.write_bytes(b"# gr\xfcppe\ndegree 4\n(0 1)\n")
+    code, out, err = run(capsys, "table", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read group file") and err.count("\n") == 1
+
+
+def test_unreadable_group_file_is_a_parse_error(tmp_path):
+    with pytest.raises(CycleParseError):
+        read_group_file(tmp_path / "missing.grp")
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_command([]) == 2
     assert run_command(["frobnicate", "S4"]) == 2
@@ -173,17 +225,18 @@ def test_help_exit_0(capsys):
     capsys.readouterr()
 
 
-def test_verification_failure_exit_1(capsys, monkeypatch):
-    def failing_report(G, F):
-        return {
-            "theorem": "B",
-            "group": {},
-            "formation": str(F),
-            "instances": [],
-            "summary": {"all_pass": False, "M_order": 0},
-        }
+def failing_thm_b_report(G, F):
+    return {
+        "theorem": "B",
+        "group": {},
+        "formation": str(F),
+        "instances": [],
+        "summary": {"all_pass": False, "M_order": 0},
+    }
 
-    monkeypatch.setattr(cli, "theorem_b_report", failing_report)
+
+def test_verification_failure_exit_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "theorem_b_report", failing_thm_b_report)
     code, out, _ = run(capsys, "verify", "thm-b", "S4")
     assert code == 1
     assert "FAIL" in out
@@ -193,3 +246,67 @@ def test_repeated_invocations_identical(capsys):
     _, first, _ = run(capsys, "headchars", "2S4", "--formation", "supersolvable")
     _, second, _ = run(capsys, "headchars", "2S4", "--formation", "supersolvable")
     assert first == second
+
+
+# -- verify all against the single checks, on a two-group catalog -------------
+
+SMALL_CATALOG = ("D8", "S4")
+FORMATION_CHECKS = ("counting", "thm54", "thm-b", "thm-a")
+
+
+@pytest.fixture
+def small_catalog(monkeypatch):
+    """verify all over D8 and S4 only: 35 checks in place of 391."""
+    entries = [e for e in load_catalog() if e.name in SMALL_CATALOG]
+    monkeypatch.setattr(cli, "load_catalog", lambda: entries)
+    return [e.name for e in entries]
+
+
+def expected_runs(names):
+    """(check, group, formation) of each verify all run, in output order."""
+    runs = []
+    for name in names:
+        for formation in cli.VERIFY_FORMATIONS:
+            runs.extend((check, name, formation) for check in FORMATION_CHECKS)
+        runs.append(("thm-c", name, None))
+    runs.append(("counterexample-2S4", "2S4", "supersolvable"))
+    return runs
+
+
+def test_verify_all_lines_match_single_checks(capsys, small_catalog):
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0
+    expected = []
+    for check, name, formation in expected_runs(small_catalog):
+        argv = ["verify", check]
+        if check != "counterexample-2S4":
+            argv.append(name)
+        if check in FORMATION_CHECKS:
+            argv += ["--formation", formation]
+        single_code, single, _ = run(capsys, *argv)
+        assert single_code == 0, argv
+        expected.extend(single.splitlines())
+    expected.append("verify all: 35 checks, 35 passed, PASS")
+    assert out.splitlines() == expected
+
+
+def test_verify_all_json(capsys, small_catalog):
+    code, out, _ = run(capsys, "verify", "all", "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["summary"] == {"checks": 35, "passed": 35, "all_pass": True}
+    assert payload["runs"] == [
+        {"check": check, "group": name, "formation": formation, "pass": True}
+        for check, name, formation in expected_runs(small_catalog)
+    ]
+
+
+def test_verify_all_failure_exit_1(capsys, monkeypatch, small_catalog):
+    monkeypatch.setattr(cli, "theorem_b_report", failing_thm_b_report)
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 1
+    lines = out.splitlines()
+    failed = [line for line in lines[:-1] if "FAIL" in line]
+    assert len(failed) == 8
+    assert all(line.startswith("thm-b ") and line.endswith(": FAIL (M order 0)") for line in failed)
+    assert lines[-1] == "verify all: 35 checks, 27 passed, FAIL"

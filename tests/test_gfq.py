@@ -1,5 +1,6 @@
 """GF(q) kernel tests: agreement with exact Fraction references."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formata import gfq
+from formata.errors import DomainError
+from formata.groups import is_prime
 
 Q = 101
 
@@ -96,6 +99,37 @@ def test_singular_matrix_has_zero_det_coeff():
     assert cp[0] == 0  # det = constant term up to sign
 
 
-def test_backend_flag(monkeypatch):
-    # the module honors FORMATA_NO_NUMBA at import; here just sanity check name
-    assert gfq.backend_name() in ("numba", "numpy")
+def test_modulus_overflowing_int64_rejected():
+    A = np.array([[3, 5, 7], [2, 9, 4], [6, 1, 8]], dtype=np.int64)
+    q = 2**61 - 1
+    for kernel in (gfq.rref_mod, gfq.nullspace_mod, gfq.charpoly_mod, gfq.poly_roots_mod):
+        with pytest.raises(DomainError):
+            kernel(A, q)
+    with pytest.raises(DomainError):
+        gfq.matmul_mod(A, A, q)
+
+
+def test_moduli_at_the_int64_bound():
+    # inner dimension 3 (3x3 charpoly_mod and matmul_mod) needs 3(q-1)^2 < 2^63
+    limit = math.isqrt((2**63 - 1) // 3) + 1
+    rng = np.random.default_rng(5)
+    A = rng.integers(limit - 1000, limit, size=(3, 3))
+    ref = [[sum(int(A[i, k]) * int(A[k, j]) for k in range(3)) % limit for j in range(3)] for i in range(3)]
+    assert gfq.matmul_mod(A, A, limit).tolist() == ref
+    with pytest.raises(DomainError):
+        gfq.matmul_mod(A, A, limit + 1)
+    with pytest.raises(DomainError):
+        gfq.charpoly_mod(A, limit + 1)
+    q = 1753413037  # the largest prime below that limit
+    assert is_prime(q) and q <= limit
+    A = rng.integers(q - 1000, q, size=(3, 3))
+    assert list(gfq.charpoly_mod(A, q)) == [int(c) % q for c in frac_charpoly(A)]
+    # rref_mod multiplies two residues at a time: (q-1)^2 < 2^63
+    limit = math.isqrt(2**63 - 1) + 1
+    q = 3037000493  # the largest prime below that limit
+    assert is_prime(q) and q <= limit
+    A = np.array([[q - 1, q - 2, 3], [q - 3, 5, q - 7], [1, q - 1, q - 1]], dtype=np.int64)
+    R, piv = gfq.rref_mod(A, q)
+    assert list(piv) == [0, 1, 2] and R.tolist() == np.eye(3, dtype=np.int64).tolist()
+    with pytest.raises(DomainError):
+        gfq.rref_mod(A, limit + 1)
