@@ -4,19 +4,113 @@ The table is computed with Dixon's method: central characters are found as
 joint eigenvectors of the class matrices over GF(q) for a prime q = 1 mod
 exponent(G) with q^2 > 4|G|, then character values are lifted exactly to
 cyclotomic integers through the power maps.  No floating point anywhere.
+
+A class function is held in one exact integer form: a conductor e, an integer
+matrix with one row per class holding the value's coefficients in the power
+basis 1, z, ..., z^(phi(e)-1) of Q(zeta_e) (reduced mod Phi_e, so canonical
+for a fixed e), and a common denominator.  Inner products, products,
+restriction and the Dixon lift work on these matrices; ``Cyclotomic`` values
+are built only for display, JSON and sorting.
+
+Integer kernels run in int64 only while an explicit bound on every entry and
+partial sum, stated at each kernel, stays below 2^63; past it the same numpy
+code runs on Python ints (object dtype).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from functools import lru_cache
+from math import gcd, lcm
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic
+from .cyclotomic import Cyclotomic, cyclotomic_poly, phi
 from .errors import InternalInconsistencyError
 from .gfq import charpoly_mod, nullspace_mod, poly_roots_mod, rref_mod
 from .groups import PermGroup, is_prime, prime_divisors
+
+_INT64 = 1 << 63
+
+
+def _widen(bound, *arrays):
+    """The arrays, moved to Python ints when bound (on every entry and partial sum) reaches 2^63."""
+    if bound < _INT64:
+        return arrays
+    return tuple(a.astype(object) for a in arrays)
+
+
+def _height(a):
+    """Largest absolute entry, as a Python int."""
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _narrow(a):
+    """int64 when every entry fits, so each matrix has one dtype for its values."""
+    if a.dtype == object and _height(a) < _INT64:
+        return a.astype(np.int64)
+    return a
+
+
+@lru_cache(maxsize=None)
+def _power_reduction(e):
+    """Integer matrix R of shape (e, phi(e)): row t holds x^t mod Phi_e."""
+    g = cyclotomic_poly(e)
+    deg = len(g) - 1
+    rows = []
+    cur = [1] + [0] * (deg - 1)
+    for _ in range(e):
+        rows.append(cur)
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [c - top * gj for c, gj in zip(cur, g)]
+    R = _narrow(np.array(rows, dtype=object))
+    R.flags.writeable = False
+    return R
+
+
+@lru_cache(maxsize=None)
+def _reduction_height(e):
+    return _height(_power_reduction(e))
+
+
+@lru_cache(maxsize=None)
+def _fold(e, sign):
+    """Matrix of shape (phi^2, phi): row a*phi+b holds z^(a + sign*b) mod Phi_e."""
+    R = _power_reduction(e)
+    a = np.arange(R.shape[1])
+    F = R[(a[:, None] + sign * a[None, :]) % e].reshape(-1, R.shape[1])
+    F.flags.writeable = False
+    return F
+
+
+@lru_cache(maxsize=None)
+def _embedding(n, m):
+    """Matrix of shape (phi(n), phi(m)) taking Q(zeta_n) coefficients to Q(zeta_m); n | m."""
+    E = _power_reduction(m)[np.arange(phi(n)) * (m // n)]
+    E.flags.writeable = False
+    return E
+
+
+@lru_cache(maxsize=None)
+def _traces(e):
+    """Tr(z^i) over Q for i < phi(e): the Ramanujan sums mu(e/g) phi(e)/phi(e/g), g = gcd(i, e)."""
+    out = []
+    for i in range(phi(e)):
+        r = e // gcd(i, e)
+        ps = prime_divisors(r)
+        squarefree = all((r // p) % p for p in ps)
+        out.append((-1) ** len(ps) * phi(e) // phi(r) if squarefree else 0)
+    return tuple(out)
+
+
+@lru_cache(maxsize=4096)
+def _cyclotomic(e, row, den):
+    """The Cyclotomic with power-basis coefficients row/den over Q(zeta_e)."""
+    if not any(row[1:]):
+        return Cyclotomic.rational(Fraction(row[0], den))
+    return Cyclotomic(e, [Fraction(c, den) for c in row])
 
 
 def _admissible_primes(e, order):
@@ -71,21 +165,88 @@ def _sqrt_mod(a, q):
 
 
 class ClassFunction:
-    """A class function on a permutation group, one exact value per class."""
+    """A class function on a permutation group, one exact value per class.
 
-    __slots__ = ("group", "values")
+    ``coeffs[j] / den`` are the power-basis coefficients over Q(zeta_e) of the
+    value at class j; den > 0 is coprime to the content of ``coeffs`` (it is 1
+    for characters), so the form is canonical for a fixed e.  ``values`` is the
+    same data as a tuple of ``Cyclotomic``, built on first use.
+    """
+
+    __slots__ = ("group", "e", "coeffs", "den", "_values")
 
     def __init__(self, group, values):
-        self.group = group
-        self.values = tuple(v if isinstance(v, Cyclotomic) else Cyclotomic.rational(v) for v in values)
-        if len(self.values) != len(group.conjugacy_classes()):
+        vals = tuple(v if isinstance(v, Cyclotomic) else Cyclotomic.rational(v) for v in values)
+        if len(vals) != len(group.conjugacy_classes()):
             raise ValueError("one value per conjugacy class required")
+        e = lcm(*(v.n for v in vals))
+        den = lcm(*(c.denominator for v in vals for c in v.coeffs))
+        # a cold path: the embedding runs on Python ints, with no bound to check
+        rows = [
+            np.array([c.numerator * (den // c.denominator) for c in v.coeffs], dtype=object)
+            @ _embedding(v.n, e)
+            for v in vals
+        ]
+        self._set(group, e, np.array(rows, dtype=object), den)
+        self._values = vals
+
+    @classmethod
+    def _from_coeffs(cls, group, e, coeffs, den=1):
+        self = object.__new__(cls)
+        self._set(group, e, coeffs, den)
+        return self
+
+    def _set(self, group, e, coeffs, den):
+        coeffs = _narrow(coeffs)
+        if den != 1:
+            g = gcd(den, *coeffs.ravel().tolist())
+            if g > 1:
+                coeffs, den = coeffs // g, den // g
+        coeffs.flags.writeable = False
+        self.group = group
+        self.e = e
+        self.coeffs = coeffs
+        self.den = den
+        self._values = None
+
+    def _at(self, m):
+        """Coefficient matrix over Q(zeta_m), for a multiple m of e."""
+        if m == self.e:
+            return self.coeffs
+        # |entry| <= phi(e) * height(coeffs) * height(R_m)
+        C, E = _widen(
+            phi(self.e) * _height(self.coeffs) * _reduction_height(m), self.coeffs, _embedding(self.e, m)
+        )
+        return _narrow(C @ E)
+
+    def _value(self, j):
+        if self._values is not None:
+            return self._values[j]
+        return _cyclotomic(self.e, tuple(self.coeffs[j].tolist()), self.den)
+
+    @property
+    def values(self):
+        if self._values is None:
+            e, den = self.e, self.den
+            self._values = tuple(_cyclotomic(e, tuple(row), den) for row in self.coeffs.tolist())
+        return self._values
 
     def degree(self):
-        return self.values[0]
+        return self._value(0)
 
     def __call__(self, g):
-        return self.values[self.group.class_of(g)]
+        return self._value(self.group.class_of(g))
+
+    def _like(self, coeffs, den=None, group=None):
+        """A class function of the same conductor (and group, unless given)."""
+        return ClassFunction._from_coeffs(
+            self.group if group is None else group, self.e, coeffs, self.den if den is None else den
+        )
+
+    def _common(self, other):
+        """(conductor, self's matrix, other's matrix) over the lcm of the conductors."""
+        m = lcm(self.e, other.e)
+        return m, self._at(m), other._at(m)
 
     def __eq__(self, other):
         if not isinstance(other, ClassFunction):
@@ -95,40 +256,73 @@ class ClassFunction:
             b = [c.rep for c in other.group.conjugacy_classes()]
             if a != b:
                 return False
-        return self.values == other.values
+        if self.den != other.den:
+            return False
+        _, A, B = self._common(other)
+        return np.array_equal(A, B)
 
     def __hash__(self):
-        return hash(tuple(v.sort_key() for v in self.values))
+        # Tr(v) / phi(e) does not depend on the conductor v is written over
+        t, scale = _traces(self.e), self.den * phi(self.e)
+        rows = self.coeffs.tolist()
+        return hash(tuple(Fraction(sum(c * x for c, x in zip(row, t)), scale) for row in rows))
+
+    def _combine(self, other, sign):
+        e, A, B = self._common(other)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, sign * (den // other.den)
+        # |entry| <= height(A) * |a| + height(B) * |b|
+        A, B = _widen(_height(A) * a + _height(B) * abs(b), A, B)
+        return ClassFunction._from_coeffs(self.group, e, A * a + B * b, den)
 
     def __add__(self, other):
         if isinstance(other, ClassFunction):
-            return ClassFunction(self.group, [a + b for a, b in zip(self.values, other.values)])
+            return self._combine(other, 1)
         return NotImplemented
 
     def __sub__(self, other):
         if isinstance(other, ClassFunction):
-            return ClassFunction(self.group, [a - b for a, b in zip(self.values, other.values)])
+            return self._combine(other, -1)
         return NotImplemented
 
     def __mul__(self, other):
         if isinstance(other, ClassFunction):
-            return ClassFunction(self.group, [a * b for a, b in zip(self.values, other.values)])
+            e, A, B = self._common(other)
+            k, f = A.shape
+            F = _fold(e, 1)
+            # |entry| <= phi^2 * height(A) * height(B) * height(R_e)
+            A, B = _widen(f * f * _height(A) * _height(B) * _reduction_height(e), A, B)
+            P = (A[:, :, None] * B[:, None, :]).reshape(k, f * f) @ F
+            return ClassFunction._from_coeffs(self.group, e, P, self.den * other.den)
         if isinstance(other, (int, Fraction)):
-            return ClassFunction(self.group, [v * other for v in self.values])
+            x = Fraction(other)
+            (C,) = _widen(_height(self.coeffs) * abs(x.numerator), self.coeffs)
+            return self._like(C * x.numerator, self.den * x.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
 
     def sort_key(self):
-        return (self.values[0].sort_key(), tuple(v.sort_key() for v in self.values))
+        return (self._value(0).sort_key(), tuple(v.sort_key() for v in self.values))
 
     def inner(self, other):
-        """Standard inner product (1/|G|) sum |C| chi(g) psi(g)-bar."""
-        classes = self.group.conjugacy_classes()
-        acc = Cyclotomic.rational(0)
-        for j, cls in enumerate(classes):
-            acc = acc + self.values[j] * other.values[j].conjugate() * cls.size
-        return acc / self.group.order()
+        """Standard inner product (1/|G|) sum |C| chi(g) psi(g)-bar, exact.
+
+        With A, B the coefficient matrices over the common conductor e and s the
+        class sizes, M = A^T diag(s) B holds the coefficient of z^a * z^-b at
+        (a, b); folding a - b mod e and reducing mod Phi_e is one product with
+        the cached matrix _fold(e, -1).  Every partial sum is at most
+        phi(e)^2 * |G| * height(A) * height(B) * height(R_e) in absolute value.
+        """
+        G = self.group
+        e, A, B = self._common(other)
+        f = A.shape[1]
+        sizes = np.array([c.size for c in G.conjugacy_classes()], dtype=np.int64)
+        bound = f * f * G.order() * _height(A) * _height(B) * _reduction_height(e)
+        A, B, sizes = _widen(bound, A, B, sizes)
+        M = (A * sizes[:, None]).T @ B
+        r = M.reshape(-1) @ _fold(e, -1)
+        return _cyclotomic(e, tuple(int(x) for x in r), G.order() * self.den * other.den)
 
     def is_irreducible(self, table=None):
         v = self.inner(self)
@@ -136,38 +330,41 @@ class ClassFunction:
 
     def restrict(self, sub):
         """Restriction to a subgroup of the same ambient symmetric group."""
-        vals = [self.values[self.group.class_of(c.rep)] for c in sub.conjugacy_classes()]
-        return ClassFunction(sub, vals)
+        idx = [self.group.class_of(c.rep) for c in sub.conjugacy_classes()]
+        return self._like(self.coeffs[idx], group=sub)
 
     def induce(self, big):
         """Induced class function on an overgroup containing this group."""
         sub = self.group
         classes = big.conjugacy_classes()
-        acc = [Cyclotomic.rational(0)] * len(classes)
-        for h in sub.elements():
-            j = big.class_of(h)
-            acc[j] = acc[j] + self.values[sub.class_of(h)]
-        scale = Fraction(big.order(), sub.order())
-        vals = [acc[j] * (scale / classes[j].size) for j in range(len(classes))]
-        return ClassFunction(big, vals)
+        # class sums over the elements of sub, then class j scaled by |big| / (|sub| |C_j|);
+        # a cold path, so it runs on Python ints throughout
+        acc = np.zeros((len(classes), self.coeffs.shape[1]), dtype=object)
+        hs = sub.elements()
+        rows = self.coeffs[[sub.class_of(h) for h in hs]].astype(object)
+        np.add.at(acc, [big.class_of(h) for h in hs], rows)
+        scale = [Fraction(big.order(), sub.order() * c.size) for c in classes]
+        den = lcm(*(x.denominator for x in scale))
+        mult = np.array([[x.numerator * (den // x.denominator)] for x in scale], dtype=object)
+        return self._like(acc * mult, self.den * den, group=big)
 
     def conjugate_by(self, t):
         """The class function x -> self(t x t^-1); t must normalize the group."""
         ti = t.inverse()
-        vals = []
-        for cls in self.group.conjugacy_classes():
-            vals.append(self.values[self.group.class_of(cls.rep.conj(ti))])
-        return ClassFunction(self.group, vals)
+        G = self.group
+        idx = [G.class_of(cls.rep.conj(ti)) for cls in G.conjugacy_classes()]
+        return self._like(self.coeffs[idx])
 
     def is_invariant_under(self, H):
         return all(self.conjugate_by(t) == self for t in H.generators)
 
     def kernel(self):
         """Subgroup of elements where the value equals the degree."""
-        d = self.values[0]
+        C = self.coeffs
+        same = (C == C[0]).all(axis=1)
         elems = []
         for j, cls in enumerate(self.group.conjugacy_classes()):
-            if self.values[j] == d:
+            if same[j]:
                 elems.extend(cls.elements)
         return PermGroup.from_elements(self.group.degree, elems)
 
@@ -197,16 +394,16 @@ class CharacterTable:
         self.prime = prime
 
     def degrees(self):
-        return [chi.values[0].as_int() for chi in self.irr]
+        return [chi.degree().as_int() for chi in self.irr]
 
     def linear_characters(self):
-        return [chi for chi in self.irr if chi.values[0] == 1]
+        return [chi for chi in self.irr if chi.degree() == 1]
 
     def trivial(self):
         return self.irr[0]
 
     def verify(self):
-        """First and second orthogonality plus degree sum; raises on failure."""
+        """Row orthogonality of every pair of rows plus the degree sum; raises on failure."""
         G = self.group
         k = len(G.conjugacy_classes())
         if len(self.irr) != k:
@@ -286,30 +483,36 @@ def _split_spaces(G, q, index_of):
 
 
 def _lift_character(G, c_mod, d, q, z, e, index_of, power_cache):
-    """Exact cyclotomic values from mod-q values through power maps."""
+    """Exact values from mod-q values through power maps, as a coefficient matrix.
+
+    At a class of element order n, the multiplicity m_s of the eigenvalue
+    zeta_n^s is (1/n) sum_t chi(g^t) zeta_n^(-st) mod q; it is written into
+    column s*e/n of a (k, e) count matrix, and one product with the reduction
+    matrix of Phi_e turns that into the (k, phi(e)) power-basis coefficients.
+    """
     classes = G.conjugacy_classes()
-    vals = []
+    counts = np.zeros((len(classes), e), dtype=np.int64)
+    c_mod = np.array(c_mod, dtype=np.int64)
     for j, cls in enumerate(classes):
         n = cls.rep.order()
         if n == 1:
-            vals.append(Cyclotomic.rational(d))
+            counts[j, 0] = d
             continue
         zn = pow(z, e // n, q)
         zn_inv = pow(zn, q - 2, q)
         n_inv = pow(n, q - 2, q)
-        powers = power_cache[j]
-        val = Cyclotomic.rational(0)
-        for s in range(n):
-            m = 0
-            for t in range(n):
-                m = (m + c_mod[powers[t]] * pow(zn_inv, s * t, q)) % q
-            m = m * n_inv % q
-            if m > d:
-                raise InternalInconsistencyError("multiplicity lift out of range")
-            if m:
-                val = val + m * Cyclotomic.zeta(n, s)
-        vals.append(val)
-    return vals
+        st = np.arange(n)
+        W = np.array([pow(zn_inv, r, q) for r in range(n)], dtype=np.int64)[np.outer(st, st) % n]
+        # |partial sum| <= n (q - 1)^2
+        W, c = _widen(n * (q - 1) ** 2, W, c_mod[power_cache[j]])
+        m = (W @ c % q) * n_inv % q
+        if (m > d).any():
+            raise InternalInconsistencyError("multiplicity lift out of range")
+        counts[j, st * (e // n)] = m
+    R = _power_reduction(e)
+    # |entry| <= d * height(R): the multiplicities of a row sum to d
+    counts, R = _widen(d * _reduction_height(e), counts, R)
+    return counts @ R
 
 
 def _dixon_once(G, q):
@@ -351,8 +554,8 @@ def _dixon_once(G, q):
         if d > q - d:
             d = q - d
         c_mod = [int(u[j]) * d % q * pow(classes[j].size, q - 2, q) % q for j in range(k)]
-        vals = _lift_character(G, c_mod, d, q, z, e, index_of, power_cache)
-        rows.append(ClassFunction(G, vals))
+        coeffs = _lift_character(G, c_mod, d, q, z, e, index_of, power_cache)
+        rows.append(ClassFunction._from_coeffs(G, e, coeffs))
     rows.sort(key=lambda chi: chi.sort_key())
     table = CharacterTable(G, rows, q)
     table.verify()
@@ -379,7 +582,7 @@ def character_table(G):
 
 
 def trivial_character(G):
-    return ClassFunction(G, [1] * len(G.conjugacy_classes()))
+    return ClassFunction._from_coeffs(G, 1, np.ones((len(G.conjugacy_classes()), 1), dtype=np.int64))
 
 
 def linear_characters(G):
@@ -394,15 +597,11 @@ def extensions_of(chi, big):
 def inflate(chi, gmap):
     """Pull a character of the quotient back to the source group of gmap."""
     Q = gmap.target
-    vals = []
-    for cls in gmap.source.conjugacy_classes():
-        vals.append(chi.values[Q.class_of(gmap.apply(cls.rep))])
-    return ClassFunction(gmap.source, vals)
+    idx = [Q.class_of(gmap.apply(cls.rep)) for cls in gmap.source.conjugacy_classes()]
+    return chi._like(chi.coeffs[idx], group=gmap.source)
 
 
 def deflate(chi, gmap):
     """Push a character with kernel containing ker(gmap) down to the quotient."""
-    vals = []
-    for cls in gmap.target.conjugacy_classes():
-        vals.append(chi.values[gmap.source.class_of(gmap.lift(cls.rep))])
-    return ClassFunction(gmap.target, vals)
+    idx = [gmap.source.class_of(gmap.lift(cls.rep)) for cls in gmap.target.conjugacy_classes()]
+    return chi._like(chi.coeffs[idx], group=gmap.target)

@@ -72,7 +72,7 @@ def build_parser():
         choices=[*CHECKS, "counterexample-2S4", "all"],
     )
     sp.add_argument("group", nargs="?", help="catalog name or group file")
-    sp.add_argument("--formation", default="nilpotent")
+    sp.add_argument("--formation", help="formation of the check (default nilpotent)")
     sp.add_argument("--normal", help="generators of a normal subgroup, separated by ';'")
     sp.add_argument("--prime", type=int)
     sp.add_argument("--json", action="store_true")
@@ -311,6 +311,7 @@ class Check(NamedTuple):
     option: str | None = None  # the verify option that picks the targets
     targets: Callable = _once  # (G, option value) -> targets
     merge: Callable = _single  # (G, F, targets, reports) -> the --json report
+    formation: bool = True  # whether the report reads the formation
 
 
 # The report functions are looked up as module globals at call time, so that
@@ -323,7 +324,7 @@ CHECKS = {
         lambda G, F, N: theorem_a_report(G, F, N), _thm_a_line, "normal", _normals, _merge_thm_a
     ),
     "thm-c": Check(
-        lambda G, F, p: theorem_c_report(G, p), _thm_c_line, "prime", _primes, _merge_thm_c
+        lambda G, F, p: theorem_c_report(G, p), _thm_c_line, "prime", _primes, _merge_thm_c, False
     ),
 }
 
@@ -337,8 +338,28 @@ def _run_check(name, G, F, label, option=None):
     return lines, _all_pass(reports), check.merge(G, F, targets, reports)
 
 
+def _option_error(args):
+    """The usage error for a verify option the target does not read, or None."""
+    check = CHECKS.get(args.target)
+    used = set()
+    if check is not None:
+        used.add(check.option)
+        if check.formation:
+            used.add("formation")
+    for name in ("formation", "normal", "prime"):
+        if getattr(args, name) is not None and name not in used:
+            return "verify %s does not take --%s" % (args.target, name)
+    if args.normal is not None and not any(w.strip() for w in args.normal.split(";")):
+        return "--normal names no generators"
+    return None
+
+
 def _cmd_verify(args):
     target = args.target
+    error = _option_error(args)
+    if error is not None:
+        print("error: %s" % error, file=sys.stderr)
+        return 2
     if target in ("counterexample-2S4", "all"):
         if args.group is not None:
             print("error: verify %s takes no group argument" % target, file=sys.stderr)
@@ -354,8 +375,11 @@ def _cmd_verify(args):
     else:
         G = resolve_group(args.group)
         label = group_label(G, args.group)
-        F = Formation.parse(args.formation)
-        option = CHECKS[target].option
+        check = CHECKS[target]
+        F = None
+        if check.formation:
+            F = Formation.parse("nilpotent" if args.formation is None else args.formation)
+        option = check.option
         lines, ok, rep = _run_check(target, G, F, label, option and getattr(args, option))
         if not lines:  # thm-c on the trivial group
             lines = ["%s %s: no prime divisors, nothing to verify" % (target, label)]

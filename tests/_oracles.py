@@ -6,6 +6,7 @@ implementation can be checked against frozen values derived once from these.
 
 from itertools import combinations
 
+from formata.cyclotomic import Cyclotomic
 from formata.perms import Perm
 from formata.groups import PermGroup
 
@@ -196,3 +197,37 @@ def oracle_character_table(G):
         row = [w[j] * fld.convert(Rational(deg, classes[j].size)) for j in range(k)]
         rows.append(row)
     return rows, fld
+
+
+def oracle_inner(chi, psi):
+    """(1/|G|) sum |C| chi(g) psi(g)-bar, one Cyclotomic operation at a time."""
+    classes = chi.group.conjugacy_classes()
+    acc = Cyclotomic.rational(0)
+    for j, cls in enumerate(classes):
+        acc = acc + chi.values[j] * psi.values[j].conjugate() * cls.size
+    return acc / chi.group.order()
+
+
+def oracle_lift(G, c_mod, d, q, z, e, index_of, power_cache):
+    """Character values from mod-q values, summing m * zeta_n^s one root at a time."""
+    vals = []
+    for j, cls in enumerate(G.conjugacy_classes()):
+        n = cls.rep.order()
+        if n == 1:
+            vals.append(Cyclotomic.rational(d))
+            continue
+        zn = pow(z, e // n, q)
+        zn_inv = pow(zn, q - 2, q)
+        n_inv = pow(n, q - 2, q)
+        powers = power_cache[j]
+        val = Cyclotomic.rational(0)
+        for s in range(n):
+            m = 0
+            for t in range(n):
+                m = (m + c_mod[powers[t]] * pow(zn_inv, s * t, q)) % q
+            m = m * n_inv % q
+            assert m <= d, "multiplicity lift out of range"
+            if m:
+                val = val + m * Cyclotomic.zeta(n, s)
+        vals.append(val)
+    return vals

@@ -8,9 +8,12 @@ the name.  The file is only read here, never changed.
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
-from formata.groups import PermGroup
+from formata import characters
+from formata.cyclotomic import Cyclotomic
+from formata.groups import PermGroup, generate
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -66,3 +69,37 @@ def test_conjugacy_class_cache_attribute():
     assert G._classes is None
     G.conjugacy_classes()
     assert G._classes is not None
+
+
+def test_character_table_reaches_the_traced_layers(monkeypatch):
+    # the `tables` and `verify_catalog` traces expect these spans to be entered
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        characters, "_lift_character", counting("lift", characters._lift_character)
+    )
+    for owner, attr in (
+        (characters.CharacterTable, "verify"),
+        (characters.ClassFunction, "inner"),
+    ):
+        monkeypatch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
+    for attr in (a.split(".", 1)[1] for a in load_spans().LAYERS["cyclotomic"][1]):
+        raw = Cyclotomic.__dict__[attr]
+        if isinstance(raw, staticmethod):
+            wrapped = staticmethod(counting("cyclotomic", raw.__func__))
+        else:
+            wrapped = counting("cyclotomic", raw)
+        monkeypatch.setattr(Cyclotomic, attr, wrapped)
+    s4 = generate(4, ["(0 1)", "(0 1 2 3)"])
+    assert characters.character_table(s4).degrees() == [1, 1, 2, 3, 3]
+    assert calls["lift"] >= 5
+    assert calls["verify"] == 1
+    assert calls["inner"] >= 15
+    assert calls["cyclotomic"] > 0

@@ -2,11 +2,17 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import Rational
 
+from formata import characters
+from formata.catalog import catalog_group, load_catalog
 from formata.characters import (
+    CharacterTable,
     ClassFunction,
     character_table,
     deflate,
@@ -16,9 +22,10 @@ from formata.characters import (
     trivial_character,
 )
 from formata.cyclotomic import Cyclotomic
-from formata.groups import generate, quotient
+from formata.errors import InternalInconsistencyError
+from formata.groups import generate, normal_subgroups, quotient
 
-from _oracles import oracle_character_table
+from _oracles import oracle_character_table, oracle_inner, oracle_lift
 
 
 def cyclo_to_anp(val, fld, gen, e):
@@ -196,3 +203,163 @@ def test_class_function_arithmetic(s4):
 
 def test_table_cached(s4):
     assert character_table(s4) is character_table(s4)
+
+
+# -- the integer form against the Cyclotomic oracles ---------------------------
+
+ORACLE_GROUPS = ("S4", "Q8", "G75", "2S4", "C7C3")
+
+
+def same_cyclotomic(a, b):
+    """Equal values with equal minimal forms, so display and JSON agree too."""
+    return a == b and a.sort_key() == b.sort_key()
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_inner_matches_oracle_on_irreducibles(name):
+    irr = character_table(catalog_group(name)).irr
+    for chi in irr:
+        for psi in irr:
+            assert same_cyclotomic(chi.inner(psi), oracle_inner(chi, psi))
+
+
+@pytest.mark.parametrize("name", ORACLE_GROUPS)
+def test_inner_matches_oracle_on_restrictions(name):
+    G = catalog_group(name)
+    irr = character_table(G).irr
+    for N in normal_subgroups(G):
+        irr_n = character_table(N).irr
+        for chi in irr:
+            rest = chi.restrict(N)
+            assert same_cyclotomic(rest.inner(rest), oracle_inner(rest, rest))
+            for th in irr_n:
+                assert same_cyclotomic(rest.inner(th), oracle_inner(rest, th))
+                assert same_cyclotomic(th.inner(rest), oracle_inner(th, rest))
+
+
+HYP_GROUPS = {name: catalog_group(name) for name in ("S4", "C7C3", "Q8")}
+
+
+@st.composite
+def cyclotomic_values(draw):
+    """Sums of c * zeta_n^a with Fraction c, over conductors that need not agree."""
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.fractions(min_value=-5, max_value=5, max_denominator=6),
+                st.sampled_from((1, 2, 3, 4, 6, 12)),
+                st.integers(0, 20),
+            ),
+            max_size=3,
+        )
+    )
+    acc = Cyclotomic.rational(0)
+    for c, n, a in terms:
+        acc = acc + c * Cyclotomic.zeta(n, a)
+    return acc
+
+
+@st.composite
+def class_function_pairs(draw):
+    G = HYP_GROUPS[draw(st.sampled_from(sorted(HYP_GROUPS)))]
+    k = len(G.conjugacy_classes())
+    a = draw(st.lists(cyclotomic_values(), min_size=k, max_size=k))
+    b = draw(st.lists(cyclotomic_values(), min_size=k, max_size=k))
+    return G, a, b
+
+
+@settings(max_examples=60, deadline=None)
+@given(class_function_pairs())
+def test_class_function_arithmetic_matches_cyclotomic(pair):
+    G, a, b = pair
+    chi, psi = ClassFunction(G, a), ClassFunction(G, b)
+    rebuilt = ClassFunction._from_coeffs(G, chi.e, chi.coeffs, chi.den)
+    assert all(same_cyclotomic(x, y) for x, y in zip(rebuilt.values, a))
+    assert same_cyclotomic(chi.inner(psi), oracle_inner(chi, psi))
+    assert all(same_cyclotomic(x, y + z) for x, y, z in zip((chi + psi).values, a, b))
+    assert all(same_cyclotomic(x, y - z) for x, y, z in zip((chi - psi).values, a, b))
+    assert all(same_cyclotomic(x, y * z) for x, y, z in zip((chi * psi).values, a, b))
+    third = Fraction(-1, 3)
+    assert all(same_cyclotomic(x, y * third) for x, y in zip((chi * third).values, a))
+    assert (chi == psi) == (list(a) == list(b))
+    assert chi == rebuilt and hash(chi) == hash(rebuilt)
+
+
+def test_irrational_inner_matches_oracle():
+    G = catalog_group("C7C3")
+    k = len(G.conjugacy_classes())
+    z3, z7 = Cyclotomic.zeta(3), Cyclotomic.zeta(7, 2)
+    chi = ClassFunction(G, [Fraction(1, 2)] + [z3] * (k - 1))
+    psi = ClassFunction(G, [z7 + 1] * k)
+    v = chi.inner(psi)
+    assert not v.is_rational()
+    assert same_cyclotomic(v, oracle_inner(chi, psi))
+
+
+def test_equal_class_functions_over_different_conductors():
+    G = catalog_group("S4")
+    chi = character_table(G).irr[2]
+    same = ClassFunction(G, [int(v.as_int()) for v in chi.values])
+    assert same.e == 1 and chi.e == G.exponent()
+    assert same == chi and hash(same) == hash(chi)
+
+
+def test_lift_matches_oracle_on_catalog(monkeypatch):
+    calls = []
+    real = characters._lift_character
+
+    def recording(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(characters, "_lift_character", recording)
+    for entry in load_catalog():
+        G = generate(entry.degree, entry.words)
+        calls.clear()
+        character_table(G)
+        assert len(calls) >= len(G.conjugacy_classes())
+        for args, coeffs in calls:
+            lifted = ClassFunction._from_coeffs(G, args[5], coeffs).values
+            want = oracle_lift(*args)
+            assert all(same_cyclotomic(x, y) for x, y in zip(lifted, want)), entry.name
+
+
+def test_verify_rejects_a_corrupted_value():
+    G = catalog_group("C7C3")
+    tab = character_table(G)
+    z3, z3sq = Cyclotomic.zeta(3), Cyclotomic.zeta(3, 2)
+    i, chi = next((i, chi) for i, chi in enumerate(tab.irr) if z3 in chi.values)
+    vals = list(chi.values)
+    vals[vals.index(z3)] = z3sq
+    rows = list(tab.irr)
+    rows[i] = ClassFunction(G, vals)
+    with pytest.raises(InternalInconsistencyError):
+        CharacterTable(G, rows, tab.prime).verify()
+
+
+def test_large_coefficients_take_the_python_int_route(monkeypatch):
+    routes = []
+    real = characters._widen
+
+    def spy(bound, *arrays):
+        out = real(bound, *arrays)
+        routes.append(all(a.dtype == object for a in out))
+        return out
+
+    monkeypatch.setattr(characters, "_widen", spy)
+    G = catalog_group("C7C3")
+    k = len(G.conjugacy_classes())
+    big = 2**40 + 3
+    a = [big * Cyclotomic.zeta(3, j) + (j - big) * Cyclotomic.zeta(7) for j in range(k)]
+    b = [Fraction(big, 7) - big * Cyclotomic.zeta(21, j) for j in range(k)]
+    chi, psi = ClassFunction(G, a), ClassFunction(G, b)
+    assert chi.coeffs.dtype == np.int64  # every stored entry fits in int64
+    routes.clear()
+    v = chi.inner(psi)
+    assert routes == [True]
+    assert same_cyclotomic(v, oracle_inner(chi, psi))
+    assert all(same_cyclotomic(x, y * z) for x, y, z in zip((chi * psi).values, a, b))
+    huge = ClassFunction(G, [2**70 + Cyclotomic.zeta(3)] * k)
+    assert huge.coeffs.dtype == object
+    assert same_cyclotomic(huge.inner(chi), oracle_inner(huge, chi))

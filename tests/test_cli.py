@@ -220,6 +220,31 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "thm-b", "S4", "--prime", "3"],
+        ["verify", "counting", "S4", "--prime", "2"],
+        ["verify", "thm54", "S4", "--normal", "(0 1)(2 3)"],
+        ["verify", "thm-c", "S4", "--normal", "(0 1)(2 3)"],
+        ["verify", "thm-a", "S4", "--prime", "2"],
+        ["verify", "thm-c", "S4", "--formation", "nilpotent"],
+        ["verify", "counterexample-2S4", "--formation", "supersolvable"],
+        ["verify", "all", "--formation", "nilpotent"],
+        ["verify", "all", "--prime", "2"],
+        ["verify", "all", "--normal", "(0 1)"],
+        ["verify", "thm-a", "S4", "--normal", ";"],
+        ["verify", "thm-a", "S4", "--normal", ""],
+        ["verify", "thm-a", "S4", "--normal", " ; "],
+    ],
+)
+def test_unused_or_empty_verify_options_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_help_exit_0(capsys):
     assert run_command(["--help"]) == 0
     capsys.readouterr()
