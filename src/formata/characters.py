@@ -28,7 +28,7 @@ import numpy as np
 from .cyclotomic import Cyclotomic, cyclotomic_poly, phi
 from .errors import InternalInconsistencyError
 from .gfq import charpoly_mod, nullspace_mod, poly_roots_mod, rref_mod
-from .groups import PermGroup, is_prime, prime_divisors
+from .groups import PermGroup, _class_matrix, is_prime, prime_divisors
 
 _INT64 = 1 << 63
 
@@ -436,27 +436,14 @@ class CharacterTable:
         }
 
 
-def _class_matrix(G, i, index_of):
-    """Matrix A with A[j][t] = #{x in C_i : x^-1 * rep_t in C_j}."""
-    classes = G.conjugacy_classes()
-    k = len(classes)
-    A = np.zeros((k, k), dtype=np.int64)
-    inv_elems = [x.inverse() for x in classes[i].elements]
-    for t in range(k):
-        z = classes[t].rep
-        for xi in inv_elems:
-            A[index_of[xi * z], t] += 1
-    return A
-
-
-def _split_spaces(G, q, index_of):
+def _split_spaces(G, q):
     classes = G.conjugacy_classes()
     k = len(classes)
     spaces = [(np.eye(k, dtype=np.int64), np.arange(k))]
     for i in range(1, k):
         if all(B.shape[0] == 1 for B, _ in spaces):
             break
-        A = _class_matrix(G, i, index_of)
+        A = _class_matrix(G, i)
         nxt = []
         for B, piv in spaces:
             d = B.shape[0]
@@ -482,7 +469,7 @@ def _split_spaces(G, q, index_of):
     return [B[0] for B, _ in spaces]
 
 
-def _lift_character(G, c_mod, d, q, z, e, index_of, power_cache):
+def _lift_character(G, c_mod, d, q, z, e, power_cache):
     """Exact values from mod-q values through power maps, as a coefficient matrix.
 
     At a class of element order n, the multiplicity m_s of the eigenvalue
@@ -518,10 +505,7 @@ def _lift_character(G, c_mod, d, q, z, e, index_of, power_cache):
 def _dixon_once(G, q):
     classes = G.conjugacy_classes()
     k = len(classes)
-    index_of = {}
-    for j, cls in enumerate(classes):
-        for x in cls.elements:
-            index_of[x] = j
+    index_of = G.class_index()
     e = G.exponent()
     z = _root_of_unity(e, q)
     inv_class = [index_of[cls.rep.inverse()] for cls in classes]
@@ -536,7 +520,7 @@ def _dixon_once(G, q):
             pw[t] = index_of[cur]
         power_cache.append(pw)
     rows = []
-    for u in _split_spaces(G, q, index_of):
+    for u in _split_spaces(G, q):
         u = u % q
         if u[0] == 0:
             raise InternalInconsistencyError("central character vanishes at identity")
@@ -554,7 +538,7 @@ def _dixon_once(G, q):
         if d > q - d:
             d = q - d
         c_mod = [int(u[j]) * d % q * pow(classes[j].size, q - 2, q) % q for j in range(k)]
-        coeffs = _lift_character(G, c_mod, d, q, z, e, index_of, power_cache)
+        coeffs = _lift_character(G, c_mod, d, q, z, e, power_cache)
         rows.append(ClassFunction._from_coeffs(G, e, coeffs))
     rows.sort(key=lambda chi: chi.sort_key())
     table = CharacterTable(G, rows, q)

@@ -8,6 +8,8 @@ import random
 from dataclasses import dataclass
 from itertools import product as iproduct
 
+import numpy as np
+
 from .errors import (
     CapacityError,
     DomainError,
@@ -166,7 +168,7 @@ class PermGroup:
         self._classes = None
         self._class_index = None
         self._normals = None
-        self._normal_closure_memo = {}
+        self._normal_masks = None
         self._derived = None
         self._center = None
         self._residuals = {}
@@ -547,58 +549,98 @@ def _int_log(n, p):
 # -- normal subgroup lattice --------------------------------------------------
 
 
-def normal_subgroups(G):
-    """All normal subgroups, as closures of unions of conjugacy classes."""
-    if G._normals is not None:
-        return G._normals
+def _class_matrix(G, i):
+    """Matrix A with A[j][t] = #{x in C_i : x^-1 * rep_t in C_j}.
+
+    A[j][t] counts the ways to write rep_t as x*y with x in C_i and y in C_j,
+    so it is nonzero exactly when C_t lies in C_i*C_j.
+    """
     classes = G.conjugacy_classes()
-    memo = G._normal_closure_memo
+    index = G.class_index()
+    k = len(classes)
+    A = np.zeros((k, k), dtype=np.int64)
+    inv_elems = [x.inverse() for x in classes[i].elements]
+    for t in range(k):
+        z = classes[t].rep
+        for xi in inv_elems:
+            A[index[xi * z], t] += 1
+    return A
 
-    def close(class_ids):
-        key = frozenset(class_ids)
-        if key in memo:
-            return memo[key]
-        elts = []
-        for i in key:
-            elts.extend(classes[i].elements)
-        span = closure_elements(G.degree, elts)
-        # record the union of full classes actually inside the closure
-        covered = frozenset(
-            i for i, c in enumerate(classes) if c.representative in span
-        )
-        N = PermGroup.from_elements(G.degree, span)
-        memo[key] = (covered, N)
-        memo[covered] = (covered, N)
-        return covered, N
 
-    found = {}
-    trivial_key, trivial = close([0])
-    found[trivial_key] = trivial
-    queue = [trivial_key]
-    while queue:
-        base_key = queue.pop(0)
-        for i in range(len(classes)):
-            if i in base_key:
-                continue
-            new_key, N = close(base_key | {i})
-            if new_key not in found:
-                found[new_key] = N
-                queue.append(new_key)
-    out = sorted(found.values(), key=lambda N: N.sort_key())
-    G._normals = tuple(out)
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _close_classes(support, mask, i):
+    """Smallest product-closed class mask containing the closed mask and class i.
+
+    C_a*C_b = C_b*C_a, because xy and yx are conjugate, so a class taken from
+    the queue is multiplied only by the classes present then; a class that
+    arrives later meets it when its own turn comes.
+    """
+    mask |= 1 << i
+    todo = [i]
+    while todo:
+        row = support[todo.pop()]
+        grown = 0
+        for b in _bits(mask):
+            grown |= row[b]
+        new = grown & ~mask
+        mask |= new
+        todo.extend(_bits(new))
+    return mask
+
+
+def normal_subgroups(G):
+    """All normal subgroups, sorted by sort_key; cached on G.
+
+    A normal subgroup is a union of conjugacy classes, held here as a bitmask
+    over class indices that contains class 0 and is closed under the class
+    product support: entry (i, j) of the support is the mask of the classes in
+    C_i*C_j, read off the structure constants of _class_matrix (k*|G| products
+    in all).  The lattice is searched breadth first from the trivial mask,
+    adding one class and closing with bit operations; each subgroup found is
+    then built once from the union of its classes.
+    """
+    if G._normals is None:
+        classes = G.conjugacy_classes()
+        k = len(classes)
+        support = [
+            [sum(1 << t for t in np.flatnonzero(row).tolist()) for row in _class_matrix(G, i)]
+            for i in range(k)
+        ]
+        found = {1}
+        queue = [1]
+        for base in queue:
+            for i in range(k):
+                if not base >> i & 1:
+                    mask = _close_classes(support, base, i)
+                    if mask not in found:
+                        found.add(mask)
+                        queue.append(mask)
+        lattice = []
+        for mask in found:
+            elts = [x for i in _bits(mask) for x in classes[i].elements]
+            lattice.append((PermGroup.from_elements(G.degree, elts), mask))
+        lattice.sort(key=lambda pair: pair[0].sort_key())
+        G._normals = tuple(N for N, _ in lattice)
+        G._normal_masks = tuple(mask for _, mask in lattice)
     return G._normals
 
 
 def minimal_normal_subgroups(G):
-    normals = [N for N in normal_subgroups(G) if N.order() > 1]
-    out = []
-    for N in normals:
-        if not any(
-            M.order() < N.order() and M.is_subgroup_of(N) and M.order() > 1
-            for M in normals
-        ):
-            out.append(N)
-    return out
+    """Nontrivial normal subgroups containing no other nontrivial one."""
+    normals = normal_subgroups(G)
+    masks = [m for m in G._normal_masks if m != 1]
+    return [
+        N
+        for N, m in zip(normals, G._normal_masks)
+        if m != 1 and not any(o != m and o & m == o for o in masks)
+    ]
 
 
 def chief_series(G, through=()):

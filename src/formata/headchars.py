@@ -481,12 +481,11 @@ def theorem_a_report(G, F, N):
     index = G.order() // NH.order()
     irr_g = character_table(G).irr
     irr_n = character_table(N).irr
+    h_invariant = [th for th in irr_n if th.is_invariant_under(H)]
     instances = []
     for chi in heads:
         rest = chi.restrict(N)
-        inv = [
-            th for th in irr_n if th.is_invariant_under(H) and not rest.inner(th).is_zero()
-        ]
+        inv = [th for th in h_invariant if not rest.inner(th).is_zero()]
         part_a = len(inv) == 1
         witnesses = {"part_a": part_a, "invariant_constituents": len(inv)}
         part_b = False

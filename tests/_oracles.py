@@ -8,7 +8,7 @@ from itertools import combinations
 
 from formata.cyclotomic import Cyclotomic
 from formata.perms import Perm
-from formata.groups import PermGroup
+from formata.groups import PermGroup, closure_elements
 
 
 def brute_elements(degree, gens):
@@ -74,6 +74,61 @@ def brute_normal_subgroups(G):
                 found.add(frozenset(union))
     found.add(frozenset(full))
     return sorted(found, key=lambda s: (len(s), tuple(sorted(p.images for p in s))))
+
+
+def oracle_normal_subgroups(G):
+    """All normal subgroups, as closures of unions of conjugacy classes.
+
+    The Perm-product closure the class-mask lattice replaced: every class
+    element is a generator, about |N|^2 products per candidate.
+    """
+    classes = G.conjugacy_classes()
+    memo = {}
+
+    def close(class_ids):
+        key = frozenset(class_ids)
+        if key in memo:
+            return memo[key]
+        elts = []
+        for i in key:
+            elts.extend(classes[i].elements)
+        span = closure_elements(G.degree, elts)
+        # record the union of full classes actually inside the closure
+        covered = frozenset(
+            i for i, c in enumerate(classes) if c.representative in span
+        )
+        N = PermGroup.from_elements(G.degree, span)
+        memo[key] = (covered, N)
+        memo[covered] = (covered, N)
+        return covered, N
+
+    found = {}
+    trivial_key, trivial = close([0])
+    found[trivial_key] = trivial
+    queue = [trivial_key]
+    while queue:
+        base_key = queue.pop(0)
+        for i in range(len(classes)):
+            if i in base_key:
+                continue
+            new_key, N = close(base_key | {i})
+            if new_key not in found:
+                found[new_key] = N
+                queue.append(new_key)
+    return tuple(sorted(found.values(), key=lambda N: N.sort_key()))
+
+
+def oracle_minimal_normal_subgroups(normals):
+    """Minimal members of a normal-subgroup list, by order and subgroup tests."""
+    normals = [N for N in normals if N.order() > 1]
+    out = []
+    for N in normals:
+        if not any(
+            M.order() < N.order() and M.is_subgroup_of(N) and M.order() > 1
+            for M in normals
+        ):
+            out.append(N)
+    return out
 
 
 def brute_all_subgroups(G):
@@ -208,7 +263,7 @@ def oracle_inner(chi, psi):
     return acc / chi.group.order()
 
 
-def oracle_lift(G, c_mod, d, q, z, e, index_of, power_cache):
+def oracle_lift(G, c_mod, d, q, z, e, power_cache):
     """Character values from mod-q values, summing m * zeta_n^s one root at a time."""
     vals = []
     for j, cls in enumerate(G.conjugacy_classes()):

@@ -8,12 +8,15 @@ the name.  The file is only read here, never changed.
 
 import importlib
 import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
-from formata import characters
+from formata import characters, groups
 from formata.cyclotomic import Cyclotomic
+from formata.formations import Formation
 from formata.groups import PermGroup, generate
+from formata.headchars import theorem_54_report
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -103,3 +106,31 @@ def test_character_table_reaches_the_traced_layers(monkeypatch):
     assert calls["verify"] == 1
     assert calls["inner"] >= 15
     assert calls["cyclotomic"] > 0
+
+
+def test_ladder_calls_reach_closure_and_lattice(monkeypatch):
+    # the `ladder` and `verify_catalog` traces expect groups.closure_elements
+    # and groups.normal_subgroups to be entered; like the tracer, rebind every
+    # formata module's copy of the name
+    calls = Counter()
+    for name in ("closure_elements", "normal_subgroups"):
+        raw = getattr(groups, name)
+
+        def counting(*args, _name=name, _raw=raw, **kwargs):
+            calls[_name] += 1
+            return _raw(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "formata" and vars(mod).get(name) is raw:
+                monkeypatch.setattr(mod, name, counting)
+    s4 = generate(4, ["(0 1)", "(0 1 2 3)"])
+    v4 = s4.derived_subgroup().derived_subgroup()
+    assert v4.order() == 4
+    assert calls["closure_elements"] > 0
+    calls.clear()
+    d8 = generate(4, ["(0 1 2 3)", "(0 2)"])
+    assert groups.subgroup_product(v4, d8).order() == 8
+    assert calls["closure_elements"] > 0
+    calls.clear()
+    assert theorem_54_report(s4, Formation.parse("nilpotent"))["summary"]["all_pass"]
+    assert calls["normal_subgroups"] > 0

@@ -180,22 +180,44 @@ def test_bad_prime_exit_2(capsys):
     assert code == 2
 
 
-def test_bad_order_cap_exit_2():
-    # a fresh process: catalog groups built by earlier tests would skip the cap
-    env = dict(os.environ, FORMATA_MAX_ORDER="abc")
+def run_process(*argv, **env):
+    """Run the CLI in a fresh process, so no group built by earlier tests is reused."""
+    env = dict(os.environ, **env)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(formata.__file__).resolve().parents[1]), env.get("PYTHONPATH", "")]
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "formata.cli", "table", "S4"],
+    return subprocess.run(
+        [sys.executable, "-m", "formata.cli", *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_bad_order_cap_exit_2():
+    proc = run_process("table", "S4", FORMATA_MAX_ORDER="abc")
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: FORMATA_MAX_ORDER must be a positive integer, got 'abc'\n"
+
+
+def test_nonsolvable_group_file_exit_2(tmp_path):
+    path = tmp_path / "sym5.grp"
+    path.write_text("degree 5\n(0 1)\n(0 1 2 3 4)\n")
+    proc = run_process("headchars", str(path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: canonical series needs a solvable group\n"
+
+
+def test_over_cap_group_file_exit_2(tmp_path):
+    path = tmp_path / "sym8.grp"
+    path.write_text("degree 8\n(0 1)\n(0 1 2 3 4 5 6 7)\n")
+    proc = run_process("table", str(path), FORMATA_MAX_ORDER="5000")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: group order 40320 exceeds cap 5000\n"
 
 
 def test_group_file_not_utf8_exit_2(capsys, tmp_path):

@@ -8,7 +8,11 @@ from _oracles import (
     brute_derived,
     brute_elements,
     brute_normal_subgroups,
+    oracle_minimal_normal_subgroups,
+    oracle_normal_subgroups,
 )
+from _products import direct_product
+from formata.catalog import catalog_group, load_catalog
 from formata.errors import CapacityError, DomainError
 from formata.groups import (
     PermGroup,
@@ -111,6 +115,45 @@ def test_minimal_normal_subgroups(s4, q8):
     assert len(mins) == 1 and mins[0].order() == 4
     minq = minimal_normal_subgroups(q8)
     assert [N.order() for N in minq] == [2]
+
+
+def lattice_signature(normals):
+    return [(N.order(), tuple(g.images for g in N.generators)) for N in normals]
+
+
+def assert_lattice_matches_oracle(G):
+    oracle = oracle_normal_subgroups(G)
+    assert lattice_signature(normal_subgroups(G)) == lattice_signature(oracle)
+    assert lattice_signature(minimal_normal_subgroups(G)) == lattice_signature(
+        oracle_minimal_normal_subgroups(oracle)
+    )
+
+
+@pytest.mark.parametrize("entry", load_catalog(), ids=lambda entry: entry.name)
+def test_normal_lattice_matches_oracle_on_catalog(entry):
+    assert_lattice_matches_oracle(generate(entry.degree, entry.words))
+
+
+def test_normal_lattice_matches_oracle_on_s4_x_s3():
+    G = direct_product(catalog_group("S4"), catalog_group("S3"))
+    assert G.order() == 144
+    assert_lattice_matches_oracle(G)
+
+
+# catalog groups of order <= 24, paired so the product has order <= 48: the
+# closure oracle then takes about a second per example at most
+PAIRS = [
+    (a.name, b.name)
+    for a in load_catalog()
+    for b in load_catalog()
+    if a.order <= 24 and b.order <= 24 and a.order * b.order <= 48
+]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.sampled_from(PAIRS))
+def test_normal_lattice_matches_oracle_on_products(pair):
+    assert_lattice_matches_oracle(direct_product(*(catalog_group(n) for n in pair)))
 
 
 def test_quotient_s4_by_v4(s4, v4):

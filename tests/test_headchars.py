@@ -2,6 +2,7 @@
 
 import pytest
 
+from _products import direct_product
 from formata.catalog import catalog_group
 from formata.characters import character_table
 from formata.errors import DomainError, NoStrongSeriesError, UnsupportedGroupError
@@ -365,6 +366,15 @@ def test_theorem_54_report_values():
         rep = theorem_54_report(catalog_group(name), F)
         assert rep["summary"]["all_pass"]
         assert rep["summary"]["head_count"] == count
+
+
+def test_theorem_54_report_on_s4_x_s4():
+    G = direct_product(catalog_group("S4"), catalog_group("S4"))
+    assert G.order() == 576
+    rep = theorem_54_report(G, NIL)
+    assert rep["summary"]["characters"] == 25
+    assert rep["summary"]["head_count"] == 16
+    assert rep["summary"]["all_pass"]
 
 
 # ---------------------------------------------------------------- extension transfer
