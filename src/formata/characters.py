@@ -366,7 +366,7 @@ class ClassFunction:
         for j, cls in enumerate(self.group.conjugacy_classes()):
             if same[j]:
                 elems.extend(cls.elements)
-        return PermGroup.from_elements(self.group.degree, elems)
+        return PermGroup.from_elements(self.group, elems)
 
     def constituents(self, table):
         """Pairs (index into table.irr, multiplicity > 0), exact."""
@@ -547,19 +547,18 @@ def _dixon_once(G, q):
 
 
 def character_table(G):
-    """Exact character table, cached on the group object."""
-    cached = getattr(G, "_chartab", None)
-    if cached is not None:
-        return cached
+    """Exact character table, memoized on the group."""
+    return G.memo(("chartab", G), lambda: _dixon(G))
+
+
+def _dixon(G):
     e = G.exponent()
     last = None
     for tries, q in enumerate(_admissible_primes(e, G.order())):
         if tries >= 8:
             break
         try:
-            table = _dixon_once(G, q)
-            G._chartab = table
-            return table
+            return _dixon_once(G, q)
         except InternalInconsistencyError as exc:
             last = exc
     raise InternalInconsistencyError("character table failed for all primes tried: %s" % last)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .errors import DomainError, InternalInconsistencyError, UnsupportedGroupError
 from .groups import (
-    PermGroup,
     chief_series,
     complement,
     intermediate_subgroups,
@@ -23,7 +22,6 @@ from .groups import (
     prime_divisors,
     quotient,
     subgroup_product,
-    sylow,
 )
 
 _KINDS = (
@@ -38,8 +36,22 @@ _KINDS = (
 
 
 def is_nilpotent(G):
-    """All Sylow subgroups normal."""
-    return all(is_normal_in(sylow(G, p), G) for p in prime_divisors(G.order()))
+    """All Sylow subgroups normal.
+
+    With |G| = p^a * m, p not dividing m, the Sylow p-subgroup is normal iff
+    exactly p^a elements have p-power order: a normal Sylow subgroup holds
+    every p-element, and two Sylow subgroups together hold more than p^a.
+    An element order o divides |G|, so it is a power of p iff it divides p^a.
+    """
+    n = G.order()
+    orders = [x.order() for x in G.elements()]
+    for p in prime_divisors(n):
+        pa = p
+        while n % (pa * p) == 0:
+            pa *= p
+        if sum(1 for o in orders if pa % o == 0) != pa:
+            return False
+    return True
 
 
 def is_supersolvable(G):
@@ -176,12 +188,13 @@ class Formation:
 
 def residual(G, formation):
     """Smallest normal subgroup with quotient in the formation."""
-    cached = G._residuals.get(formation.key())
-    if cached is not None:
-        return cached
+    return G.memo(("residual", G, formation.key()), lambda: _residual(G, formation))
+
+
+def _residual(G, formation):
     out = None
     for N in sorted(normal_subgroups(G), key=lambda n: n.order()):
-        if out is not None and set(out.element_set()) <= set(N.element_set()):
+        if out is not None and out.element_set() <= N.element_set():
             continue  # intersecting with an overgroup cannot shrink the result
         if formation.is_member(quotient(G, N)[0]):
             out = N if out is None else intersection(out, N)
@@ -189,20 +202,14 @@ def residual(G, formation):
         raise InternalInconsistencyError("no residual found; G/G should always qualify")
     if not formation.is_member(quotient(G, out)[0]):
         raise InternalInconsistencyError("residual intersection left the formation")
-    G._residuals[formation.key()] = out
     return out
 
 
 def projector(G, formation):
     """A formation projector, deterministic; requires a solvable group."""
-    cached = G._projectors.get(formation.key())
-    if cached is not None:
-        return cached
     if not G.is_solvable():
         raise UnsupportedGroupError("projectors are computed for solvable groups only")
-    out = _projector_rec(G, formation)
-    G._projectors[formation.key()] = out
-    return out
+    return G.memo(("projector", G, formation.key()), lambda: _projector_rec(G, formation))
 
 
 def _projector_rec(G, formation):
@@ -224,9 +231,13 @@ def _projector_rec(G, formation):
 
 def navarro_condition(G, K, L, H):
     """K, L normal, K/L abelian, KH = G and K meet LH = L."""
+    return G.memo(("navarro", G, K, L, H), lambda: _navarro(G, K, L, H))
+
+
+def _navarro(G, K, L, H):
     if not (is_normal_in(K, G) and is_normal_in(L, G)):
         return False
-    if not set(L.element_set()) <= set(K.element_set()):
+    if not L.element_set() <= K.element_set():
         return False
     KL = quotient(K, L)[0]
     if KL.derived_subgroup().order() != 1:
@@ -234,7 +245,7 @@ def navarro_condition(G, K, L, H):
     if subgroup_product(K, H).order() != G.order():
         return False
     LH = subgroup_product(L, H)
-    return intersection(K, LH).sort_key() == L.sort_key()
+    return intersection(K, LH).element_set() == L.element_set()
 
 
 def verify_projector(G, H, formation, max_lattice=600):

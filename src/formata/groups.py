@@ -146,8 +146,24 @@ class ConjClass:
 class PermGroup:
     """Finite permutation group of fixed degree, immutable after construction.
 
-    Caches (elements, chain, classes, lattice data) are populated lazily; every
-    derived object is deterministic, so late population is idempotent.
+    A group built from generators is a root.  It owns a memo, one dict shared
+    with every subgroup built inside it by ``from_elements``; groups under
+    different roots share nothing, and a memo lives as long as its root.
+
+    The memo is the intern table: under a frozenset of elements it holds the
+    one group object of the root with that element set, so each subgroup has
+    one identity and whatever is cached on it is shared by every route that
+    reaches it.  The memo also caches the subgroup algebra: under a tuple
+    ``(operation, *input groups, *parameters)`` it holds a result, keyed by
+    the input objects, which interning makes unique per element set within a
+    root.  A computation that raises stores nothing, so every check runs on
+    the first computation.
+
+    The group's own data stays in attributes, filled lazily and idempotently:
+    ``_order``, ``_elements`` and ``_element_set``, the stabilizer chain
+    ``_chain``, the conjugacy classes ``_classes`` with ``_class_index``, and
+    the normal-subgroup lattice ``_normals`` with its class masks
+    ``_normal_masks``.
     """
 
     def __init__(self, degree, generators=()):
@@ -161,6 +177,7 @@ class PermGroup:
                 seen.add(g.images)
                 gens.append(g)
         self.generators = tuple(gens)
+        self._memo = {}
         self._chain = None
         self._order = None
         self._elements = None
@@ -169,27 +186,44 @@ class PermGroup:
         self._class_index = None
         self._normals = None
         self._normal_masks = None
-        self._derived = None
-        self._center = None
-        self._residuals = {}
-        self._projectors = {}
-        self._quotients = {}
 
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def from_elements(cls, degree, elements):
-        """Group from a full element collection; generators are reduced greedily."""
-        elts = sorted(set(elements))
-        ident = Perm.identity(degree)
-        if ident not in elts:
-            elts = sorted(set(elts) | {ident})
-        gens = _greedy_generators(degree, elts)
-        G = cls(degree, gens)
-        G._elements = tuple(elts)
-        G._element_set = frozenset(elts)
-        G._order = len(elts)
-        return G
+    def from_elements(cls, G, elements):
+        """The group with this element set, interned in the memo of G's root.
+
+        The identity is added if missing.  Generators are reduced greedily
+        from the sorted elements, so they depend on the set alone.  A set that
+        is not closed under products raises InternalInconsistencyError.
+        """
+        key = frozenset(elements)
+        memo = G._memo
+        got = memo.get(key)
+        if got is not None:
+            return got
+        ident = Perm.identity(G.degree)
+        if ident not in key:
+            key = key | {ident}
+            got = memo.get(key)
+            if got is not None:
+                return got
+        elts = sorted(key)
+        H = cls(G.degree, _greedy_generators(G.degree, elts))
+        H._memo = memo
+        H._elements = tuple(elts)
+        H._element_set = key
+        H._order = len(elts)
+        memo[key] = H
+        return H
+
+    def memo(self, key, compute):
+        """The result stored under key in the root's memo; compute() on a miss."""
+        memo = self._memo
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = compute()
+        return got
 
     def identity(self):
         return Perm.identity(self.degree)
@@ -268,12 +302,7 @@ class PermGroup:
 
     def reduced(self):
         """Same group with a small deterministic generating sequence."""
-        gens = _greedy_generators(self.degree, self.elements())
-        G = PermGroup(self.degree, gens)
-        G._elements = self._elements
-        G._element_set = self._element_set
-        G._order = self._order
-        return G
+        return PermGroup.from_elements(self, self.element_set())
 
     def to_json(self):
         """Name (set on catalog groups), order, degree and generator cycles."""
@@ -335,11 +364,11 @@ class PermGroup:
     # -- derived and solvability ----------------------------------------------
 
     def derived_subgroup(self):
-        if self._derived is None:
-            gens = self.generators
-            comms = [a.commutator(b) for a in gens for b in gens]
-            self._derived = normal_closure(self, comms)
-        return self._derived
+        gens = self.generators
+        return self.memo(
+            ("derived", self),
+            lambda: normal_closure(self, [a.commutator(b) for a in gens for b in gens]),
+        )
 
     def derived_series(self):
         series = [self]
@@ -359,15 +388,16 @@ class PermGroup:
         return self.derived_subgroup().order() == self.order()
 
     def center(self):
-        if self._center is None:
-            gens = self.generators
-            members = [x for x in self.elements() if all(x * g == g * x for g in gens)]
-            self._center = PermGroup.from_elements(self.degree, members)
-        return self._center
+        gens = self.generators
+        members = [x for x in self.elements() if all(x * g == g * x for g in gens)]
+        return PermGroup.from_elements(self, members)
 
 
 def _greedy_generators(degree, elements):
-    """Smallest-first generating sequence extracted from a sorted element list."""
+    """Smallest-first generating sequence extracted from a sorted element list.
+
+    Raises InternalInconsistencyError when the elements are not a group.
+    """
     target = len(elements)
     gens = []
     span = {Perm.identity(degree)}
@@ -388,6 +418,8 @@ def _greedy_generators(degree, elements):
                 if z not in span:
                     span.add(z)
                     queue.append(z)
+    if len(span) != target or not span.issuperset(elements):
+        raise InternalInconsistencyError("element set is not closed under products")
     return gens
 
 
@@ -433,26 +465,32 @@ def normal_closure(G, seed):
             break
         gens.extend(new)
         span = closure_elements(G.degree, gens)
-    return PermGroup.from_elements(G.degree, span)
+    return PermGroup.from_elements(G, span)
 
 
 def intersection(A, B):
     """Subgroup intersection via element sets (desk scale)."""
     if A.degree != B.degree:
         raise DomainError("degree mismatch")
-    return PermGroup.from_elements(A.degree, A.element_set() & B.element_set())
+    return A.memo(
+        ("meet", A, B), lambda: PermGroup.from_elements(A, A.element_set() & B.element_set())
+    )
 
 
 def subgroup_product(A, B):
     """Product AB as a subgroup; requires the setwise product to be one."""
     if A.degree != B.degree:
         raise DomainError("degree mismatch")
-    gens = list(A.generators) + list(B.generators)
-    P = PermGroup.from_elements(A.degree, closure_elements(A.degree, gens))
-    expected = A.order() * B.order() // intersection(A, B).order()
-    if P.order() != expected:
-        raise DomainError("setwise product AB is not a subgroup")
-    return P
+
+    def compute():
+        gens = list(A.generators) + list(B.generators)
+        P = PermGroup.from_elements(A, closure_elements(A.degree, gens))
+        expected = A.order() * B.order() // intersection(A, B).order()
+        if P.order() != expected:
+            raise DomainError("setwise product AB is not a subgroup")
+        return P
+
+    return A.memo(("product", A, B), compute)
 
 
 def is_normal_in(N, G):
@@ -478,7 +516,7 @@ def centralizer(G, x):
     members = [
         g for g in G.elements() if all(g * t == t * g for t in targets)
     ]
-    return PermGroup.from_elements(G.degree, members)
+    return PermGroup.from_elements(G, members)
 
 
 def normalizer(G, U):
@@ -487,7 +525,7 @@ def normalizer(G, U):
     members = [
         g for g in G.elements() if all(u.conj(g) in uset for u in ugens)
     ]
-    return PermGroup.from_elements(G.degree, members)
+    return PermGroup.from_elements(G, members)
 
 
 def is_prime(p):
@@ -520,7 +558,7 @@ def sylow(G, p):
         m //= p
         a += 1
     target = p**a
-    P = PermGroup.from_elements(G.degree, [G.identity()])
+    P = PermGroup.from_elements(G, [G.identity()])
     while P.order() < target:
         N = G if P.order() == 1 else normalizer(G, P)
         grown = False
@@ -530,7 +568,7 @@ def sylow(G, p):
             o = x.order()
             if o != 1 and p ** _int_log(o, p) == o:
                 members = closure_elements(G.degree, list(P.generators) + [x])
-                P = PermGroup.from_elements(G.degree, members)
+                P = PermGroup.from_elements(G, members)
                 grown = True
                 break
         if not grown:
@@ -625,7 +663,7 @@ def normal_subgroups(G):
         lattice = []
         for mask in found:
             elts = [x for i in _bits(mask) for x in classes[i].elements]
-            lattice.append((PermGroup.from_elements(G.degree, elts), mask))
+            lattice.append((PermGroup.from_elements(G, elts), mask))
         lattice.sort(key=lambda pair: pair[0].sort_key())
         G._normals = tuple(N for N, _ in lattice)
         G._normal_masks = tuple(mask for _, mask in lattice)
@@ -658,7 +696,7 @@ def chief_series(G, through=()):
         if prev is not None and not prev.is_subgroup_of(T):
             raise DomainError("chief series anchors do not form a chain")
         prev = T
-    series = [PermGroup.from_elements(G.degree, [G.identity()])]
+    series = [PermGroup.from_elements(G, [G.identity()])]
     for T in targets:
         while series[-1].order() != T.order():
             cur = series[-1]
@@ -716,9 +754,10 @@ class GroupMap:
 
 def quotient(G, N):
     """Quotient by a normal subgroup via the right-coset action; returns (Q, map)."""
-    key = N.sort_key()
-    if key in G._quotients:
-        return G._quotients[key]
+    return G.memo(("quotient", G, N), lambda: _coset_action(G, N))
+
+
+def _coset_action(G, N):
     if not is_normal_in(N, G):
         raise DomainError("quotient requires a normal subgroup")
     nelts = sorted(N.element_set())
@@ -746,7 +785,6 @@ def quotient(G, N):
         for b in G.generators:
             if gmap.apply(a * b) != gmap.apply(a) * gmap.apply(b):
                 raise InternalInconsistencyError("coset action is not a morphism")
-    G._quotients[key] = (Q, gmap)
     return Q, gmap
 
 
@@ -768,7 +806,7 @@ def complement(G, A, seed=20240801, attempts=512):
         return G
     index = G.order() // A.order()
     if index == 1:
-        return PermGroup.from_elements(G.degree, [G.identity()])
+        return PermGroup.from_elements(G, [G.identity()])
     base = G.reduced()
     aelts = sorted(A.element_set())
     cosets = [sorted(a * g for a in aelts) for g in base.generators]
@@ -776,7 +814,7 @@ def complement(G, A, seed=20240801, attempts=512):
     def try_tuple(lifts):
         members = closure_elements(G.degree, lifts, cap=G.order() + 1)
         if len(members) == index:
-            C = PermGroup.from_elements(G.degree, members)
+            C = PermGroup.from_elements(G, members)
             if intersection(C, A).order() != 1:
                 raise InternalInconsistencyError("complement intersects kernel")
             return C
@@ -808,7 +846,7 @@ def h_composition_series(G, H, anchors=()):
     """
     if not H.is_subgroup_of(G):
         raise DomainError("H must be a subgroup of G")
-    chain = [PermGroup.from_elements(G.degree, [G.identity()])]
+    chain = [PermGroup.from_elements(G, [G.identity()])]
     for A in sorted(anchors, key=lambda A: A.sort_key()):
         if not is_invariant_under(A, H):
             raise DomainError("anchor is not H-invariant")
@@ -850,7 +888,7 @@ def intermediate_subgroups(G, H):
         raise DomainError("H must be a subgroup of G")
     if G.order() > 600:
         raise CapacityError("intermediate subgroup sweep capped at order 600")
-    start = PermGroup.from_elements(G.degree, closure_elements(G.degree, H.generators))
+    start = PermGroup.from_elements(G, closure_elements(G.degree, H.generators))
     found = {frozenset(start.element_set()): start}
     queue = [start]
     while queue:
@@ -861,7 +899,7 @@ def intermediate_subgroups(G, H):
             span = closure_elements(G.degree, list(U.generators) + [x])
             key = frozenset(span)
             if key not in found:
-                W = PermGroup.from_elements(G.degree, span)
+                W = PermGroup.from_elements(G, span)
                 found[key] = W
                 queue.append(W)
     return sorted(found.values(), key=lambda U: U.sort_key())

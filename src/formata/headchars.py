@@ -22,37 +22,23 @@ from .groups import (
 )
 
 
-def _cache(G, attr):
-    got = getattr(G, attr, None)
-    if got is None:
-        got = {}
-        setattr(G, attr, got)
-    return got
-
-
 def _trivial_subgroup(G):
-    return PermGroup.from_elements(G.degree, [G.identity()])
+    return PermGroup.from_elements(G, [G.identity()])
 
 
 def _product(G, A, B):
-    """Subgroup product A*B, cached on G so repeated calls share one object."""
-    cache = _cache(G, "_hprod")
-    key = (A.sort_key(), B.sort_key())
-    got = cache.get(key)
-    if got is None:
-        if A.order() == 1:
-            got = B
-        elif B.order() == 1:
-            got = A
-        else:
-            got = subgroup_product(A, B)
-            if got.order() == G.order():
-                got = G
-            elif got.order() == A.order():
-                got = A
-            elif got.order() == B.order():
-                got = B
-        cache[key] = got
+    """Subgroup product A*B inside G: G, A or B itself when it equals one of them."""
+    if A.order() == 1:
+        return B
+    if B.order() == 1:
+        return A
+    got = subgroup_product(A, B)
+    if got.order() == G.order():
+        return G
+    if got.order() == A.order():
+        return A
+    if got.order() == B.order():
+        return B
     return got
 
 
@@ -119,10 +105,10 @@ class CanonicalSeries:
 
 def canonical_series(G, F):
     """The canonical chain of residuals and derived subgroups below G."""
-    cache = _cache(G, "_canonical")
-    got = cache.get(F.key())
-    if got is not None:
-        return got
+    return G.memo(("canonical", G, F.key()), lambda: _canonical_series(G, F))
+
+
+def _canonical_series(G, F):
     if not F.contains_nilpotent:
         raise UnsupportedGroupError(
             "canonical series needs a formation containing all nilpotent groups"
@@ -138,7 +124,6 @@ def canonical_series(G, F):
         K = residual(_product(G, L, H), F)
     cs = CanonicalSeries(G, F, H, pairs)
     _verify_canonical(cs)
-    cache[F.key()] = cs
     return cs
 
 
@@ -211,12 +196,7 @@ def _ascend(G, F):
 
 def fprime_ascending(G, F):
     """The head characters of G, built upward from Lin(H), in table row order."""
-    cache = _cache(G, "_fprime")
-    got = cache.get(F.key())
-    if got is None:
-        got = tuple(_ascend(G, F)[0])
-        cache[F.key()] = got
-    return list(got)
+    return list(G.memo(("fprime", G, F.key()), lambda: tuple(_ascend(G, F)[0])))
 
 
 def ascent_states(G, F):
@@ -335,13 +315,11 @@ class PairSeries:
 
 
 def _default_series(G, F):
-    cache = _cache(G, "_hseries")
-    got = cache.get(F.key())
-    if got is None:
+    def compute():
         cs = canonical_series(G, F)
-        got = tuple(h_composition_series(G, cs.projector, cs.anchors()))
-        cache[F.key()] = got
-    return got
+        return tuple(h_composition_series(G, cs.projector, cs.anchors()))
+
+    return G.memo(("hseries", G, F.key()), compute)
 
 
 def strong_series_for(chi, G, F, series=None):

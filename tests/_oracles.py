@@ -8,7 +8,7 @@ from itertools import combinations
 
 from formata.cyclotomic import Cyclotomic
 from formata.perms import Perm
-from formata.groups import PermGroup, closure_elements
+from formata.groups import PermGroup, closure_elements, prime_divisors
 
 
 def brute_elements(degree, gens):
@@ -97,7 +97,7 @@ def oracle_normal_subgroups(G):
         covered = frozenset(
             i for i, c in enumerate(classes) if c.representative in span
         )
-        N = PermGroup.from_elements(G.degree, span)
+        N = PermGroup.from_elements(PermGroup(G.degree), span)  # a root of its own
         memo[key] = (covered, N)
         memo[covered] = (covered, N)
         return covered, N
@@ -146,10 +146,6 @@ def brute_all_subgroups(G):
                 found.add(T)
                 queue.append(T)
     return sorted(found, key=lambda s: (len(s), tuple(sorted(p.images for p in s))))
-
-
-def group_from(degree, elements):
-    return PermGroup.from_elements(degree, elements)
 
 
 def brute_is_nilpotent(G):
@@ -286,3 +282,71 @@ def oracle_lift(G, c_mod, d, q, z, e, power_cache):
                 val = val + m * Cyclotomic.zeta(n, s)
         vals.append(val)
     return vals
+
+
+# -- the subgroup algebra, recomputed on element sets with no memo ------------
+
+
+def _p_power_order(x, p):
+    o = x.order()
+    while o % p == 0:
+        o //= p
+    return o == 1
+
+
+def oracle_product(A, B):
+    """Element set of the subgroup generated by A and B."""
+    return frozenset(brute_elements(A.degree, list(A.generators) + list(B.generators)))
+
+
+def oracle_normalizer(G, U):
+    """Elements of G conjugating every element of U into U."""
+    uset = U.element_set()
+    return frozenset(g for g in G.elements() if all(u.conj(g) in uset for u in uset))
+
+
+def oracle_sylow(G, p):
+    """The normalizer ascent of sylow(), on plain element sets.
+
+    Start from the trivial subgroup; while P is short of p^a, adjoin the least
+    element of p-power order of N_G(P) outside P and close.
+    """
+    n = G.order()
+    target = 1
+    while n % (target * p) == 0:
+        target *= p
+    P = frozenset([G.identity()])
+    while len(P) < target:
+        norm = sorted(
+            g for g in G.elements() if all(u.conj(g) in P for u in P)
+        )
+        x = next(x for x in norm if x not in P and _p_power_order(x, p))
+        P = frozenset(brute_elements(G.degree, sorted(P | {x})))
+    return P
+
+
+def oracle_is_nilpotent(G):
+    """The Sylow route is_nilpotent replaced: each Sylow subgroup is normal."""
+    for p in prime_divisors(G.order()):
+        P = oracle_sylow(G, p)
+        if any(x.conj(g) not in P for x in P for g in G.generators):
+            return False
+    return True
+
+
+def oracle_quotient_generators(G, N):
+    """Images of G's generators acting on the right cosets of N.
+
+    Cosets are numbered by their least element, in increasing order, as
+    groups.quotient numbers them.
+    """
+    nset = N.element_set()
+    cosets = sorted({min(n * g for n in nset) for g in G.elements()})
+    index = {rep: i for i, rep in enumerate(cosets)}
+    least = {}
+    for rep in cosets:
+        for c in (n * rep for n in nset):
+            least[c] = rep
+    return [
+        tuple(index[least[rep * g]] for rep in cosets) for g in G.generators
+    ]

@@ -13,6 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 from formata import characters, groups
+from formata.catalog import catalog_group
 from formata.cyclotomic import Cyclotomic
 from formata.formations import Formation
 from formata.groups import PermGroup, generate
@@ -131,6 +132,45 @@ def test_ladder_calls_reach_closure_and_lattice(monkeypatch):
     d8 = generate(4, ["(0 1 2 3)", "(0 2)"])
     assert groups.subgroup_product(v4, d8).order() == 8
     assert calls["closure_elements"] > 0
+    calls.clear()
+    assert theorem_54_report(s4, Formation.parse("nilpotent"))["summary"]["all_pass"]
+    assert calls["normal_subgroups"] > 0
+
+
+def count_module_calls(monkeypatch, names):
+    """Count calls to groups.<name> through every formata module's binding."""
+    calls = Counter()
+    for name in names:
+        raw = getattr(groups, name)
+
+        def counting(*args, _name=name, _raw=raw, **kwargs):
+            calls[_name] += 1
+            return _raw(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.split(".")[0] == "formata" and vars(mod).get(name) is raw:
+                monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_fresh_group_reaches_closure_and_lattice_after_warm_memos(monkeypatch):
+    # memos live on each root group, so results computed on the catalog's S4
+    # must not answer for a freshly generated S4 with the same elements
+    words = ["(0 1)", "(0 1 2 3)"]
+    warm = catalog_group("S4")
+    warm_v4 = warm.derived_subgroup().derived_subgroup()
+    warm_d8 = groups.sylow(warm, 2)
+    assert groups.subgroup_product(warm_v4, warm_d8).order() == 8
+    assert theorem_54_report(warm, Formation.parse("nilpotent"))["summary"]["all_pass"]
+    calls = count_module_calls(monkeypatch, ("closure_elements", "normal_subgroups"))
+    s4 = generate(4, words)
+    v4 = s4.derived_subgroup().derived_subgroup()
+    d8 = groups.sylow(s4, 2)
+    assert v4.element_set() == warm_v4.element_set() and v4 is not warm_v4
+    calls.clear()
+    assert groups.subgroup_product(v4, d8).order() == 8
+    assert calls["closure_elements"] > 0
+    assert s4._normals is None  # the lattice is computed anew, not shared
     calls.clear()
     assert theorem_54_report(s4, Formation.parse("nilpotent"))["summary"]["all_pass"]
     assert calls["normal_subgroups"] > 0

@@ -18,7 +18,7 @@ from formata.formations import (
 )
 from formata.groups import generate, intersection, is_normal_in, normal_subgroups, quotient, subgroup_product
 
-from _oracles import brute_is_nilpotent, group_from
+from _oracles import brute_is_nilpotent
 
 
 def test_parse_and_str():

@@ -38,7 +38,7 @@ SUP = Formation.parse("supersolvable")
 
 
 def trivial_subgroup(G):
-    return PermGroup.from_elements(G.degree, [G.identity()])
+    return PermGroup.from_elements(G, [G.identity()])
 
 
 def same_values(a, b, S):
@@ -284,7 +284,7 @@ def s4_explicit_series():
         for g in L0.elements()
         if g != G.identity() and all(g.conj(h) == g for h in H.generators)
     )
-    C2 = PermGroup.from_elements(G.degree, [G.identity(), z])
+    C2 = PermGroup.from_elements(G, [G.identity(), z])
     return G, cs, [trivial_subgroup(G), C2, L0, K0, G]
 
 

@@ -1,0 +1,204 @@
+"""One identity per subgroup: interning under the root and the memo on it."""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from _oracles import (
+    oracle_is_nilpotent,
+    oracle_normalizer,
+    oracle_product,
+    oracle_quotient_generators,
+    oracle_sylow,
+)
+from _products import direct_product
+from formata import formations
+from formata.catalog import catalog_group, load_catalog
+from formata.characters import character_table
+from formata.cli import run_command
+from formata.errors import DomainError, InternalInconsistencyError
+from formata.formations import Formation, is_nilpotent, projector
+from formata.groups import (
+    PermGroup,
+    generate,
+    intersection,
+    normal_subgroups,
+    normalizer,
+    prime_divisors,
+    quotient,
+    subgroup_product,
+    sylow,
+)
+from formata.headchars import strong_series_for, theorem_54_report, unique_invariant_below
+from formata.perms import Perm, parse_cycles
+
+
+def fresh(degree, elements):
+    """A build under a throwaway root, so nothing is interned or memoized."""
+    return PermGroup.from_elements(PermGroup(degree), elements)
+
+
+def images(U):
+    return [g.images for g in U.generators]
+
+
+def test_from_elements_returns_one_object_per_root(s4):
+    a4 = s4.derived_subgroup()
+    elts = list(a4.elements())
+    assert PermGroup.from_elements(s4, elts) is a4
+    assert PermGroup.from_elements(s4, reversed(elts)) is a4
+    assert PermGroup.from_elements(s4, frozenset(elts)) is a4
+    # the identity is added when missing, and the result is still the interned one
+    assert PermGroup.from_elements(s4, elts[1:]) is a4
+    U = PermGroup.from_elements(a4, elts)
+    assert U is a4  # a4 shares its root's intern table
+
+
+def test_roots_do_not_share(s4):
+    other = generate(4, ["(0 1)", "(0 1 2 3)"])
+    elts = s4.derived_subgroup().elements()
+    here = PermGroup.from_elements(s4, elts)
+    there = PermGroup.from_elements(other, elts)
+    assert here is not there
+    assert images(here) == images(there) == images(fresh(4, elts))
+    assert s4._memo is not other._memo
+    assert here._memo is s4._memo and there._memo is other._memo
+
+
+def test_interned_generators_equal_a_fresh_build(s4):
+    for N in normal_subgroups(s4):
+        assert images(N) == images(fresh(4, N.elements()))
+        assert N.order() == len(N.elements())
+
+
+def test_from_elements_rejects_an_unclosed_set():
+    c3 = generate(3, ["(0 1 2)"])
+    with pytest.raises(InternalInconsistencyError):
+        PermGroup.from_elements(c3, [parse_cycles("(0 1 2)", 3)])
+    s3 = generate(3, ["(0 1)", "(0 1 2)"])
+    bad = [Perm.identity(3), parse_cycles("(1 2)", 3), parse_cycles("(0 1 2)", 3)]
+    with pytest.raises(InternalInconsistencyError):
+        PermGroup.from_elements(s3, bad)
+    assert frozenset(bad) not in s3._memo
+    assert PermGroup.from_elements(s3, [parse_cycles("(1 2)", 3)]).order() == 2
+
+
+def subgroups_of(G):
+    """Normal subgroups, Sylow subgroups and their normalizers."""
+    subs = list(normal_subgroups(G))
+    for p in prime_divisors(G.order()):
+        P = sylow(G, p)
+        subs.extend([P, normalizer(G, P)])
+    return subs
+
+
+def assert_memo_matches_oracles(G):
+    normals = normal_subgroups(G)
+    subs = subgroups_of(G)
+    for p in prime_divisors(G.order()):
+        P = sylow(G, p)
+        assert P.element_set() == oracle_sylow(G, p)
+        assert images(P) == images(fresh(G.degree, P.elements()))
+    for U in subs:
+        M = normalizer(G, U)
+        assert M.element_set() == oracle_normalizer(G, U)
+    for N in normals:
+        for U in subs:
+            # N is normal, so NU is a subgroup
+            P = subgroup_product(N, U)
+            assert P.element_set() == oracle_product(N, U)
+            assert images(P) == images(fresh(G.degree, P.elements()))
+            assert subgroup_product(N, U) is P
+            M = intersection(N, U)
+            assert M.element_set() == N.element_set() & U.element_set()
+            assert images(M) == images(fresh(G.degree, M.elements()))
+            assert intersection(N, U) is M
+        Q, gmap = quotient(G, N)
+        assert Q.order() * N.order() == G.order()
+        assert [g.images for g in gmap.gen_images] == oracle_quotient_generators(G, N)
+        assert quotient(G, N)[0] is Q
+
+
+@pytest.mark.parametrize("entry", load_catalog(), ids=lambda entry: entry.name)
+def test_memo_matches_oracles_on_catalog(entry):
+    assert_memo_matches_oracles(generate(entry.degree, entry.words))
+
+
+# catalog groups of order <= 24 whose direct product has order <= 48
+PAIRS = [
+    (a.name, b.name)
+    for a in load_catalog()
+    for b in load_catalog()
+    if a.order <= 24 and b.order <= 24 and a.order * b.order <= 48
+]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(PAIRS))
+def test_memo_matches_oracles_on_products(pair):
+    assert_memo_matches_oracles(direct_product(*(catalog_group(n) for n in pair)))
+
+
+@pytest.mark.parametrize("entry", load_catalog(), ids=lambda entry: entry.name)
+def test_nilpotency_count_matches_sylow_route_on_catalog(entry):
+    G = generate(entry.degree, entry.words)
+    for U in (G, *normal_subgroups(G)):
+        assert is_nilpotent(U) == oracle_is_nilpotent(U), (entry.name, U.order())
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(PAIRS))
+def test_nilpotency_count_matches_sylow_route_on_products(pair):
+    G = direct_product(*(catalog_group(n) for n in pair))
+    for U in (G, *normal_subgroups(G)):
+        assert is_nilpotent(U) == oracle_is_nilpotent(U), (pair, U.order())
+
+
+def run(capsys, *argv):
+    code = run_command(list(argv))
+    return code, capsys.readouterr().out
+
+
+def test_cli_output_is_the_same_when_memos_are_warm(capsys):
+    for argv in (
+        ("verify", "all", "--json"),
+        ("series", "2S4", "--formation", "supersolvable", "--json"),
+        ("series", "S4", "--formation", "nilpotent", "--json"),
+    ):
+        first = run(capsys, *argv)
+        second = run(capsys, *argv)
+        assert first[0] == 0
+        assert first == second, argv
+
+
+def test_navarro_condition_is_evaluated_once_per_layer(monkeypatch, s4):
+    # strong_series_for checks each layer, and unique_invariant_below checks
+    # it again; the memo answers the second check
+    evaluated = Counter()
+    raw = formations._navarro
+
+    def counting(G, K, L, H):
+        evaluated[tuple(U.element_set() for U in (G, K, L, H))] += 1
+        return raw(G, K, L, H)
+
+    monkeypatch.setattr(formations, "_navarro", counting)
+    for name in ("nilpotent", "supersolvable"):
+        assert theorem_54_report(s4, Formation.parse(name))["summary"]["all_pass"]
+    assert evaluated and max(evaluated.values()) == 1
+
+
+def test_failing_navarro_condition_keeps_each_path_error(s4):
+    H = projector(s4, Formation.parse("nilpotent"))
+    a4 = s4.derived_subgroup()
+    trivial = PermGroup.from_elements(s4, [s4.identity()])
+    theta = character_table(a4).trivial()
+    # A4/1 is not abelian, so (S4, A4, 1) fails the condition for H
+    with pytest.raises(DomainError, match="Navarro"):
+        unique_invariant_below(theta, s4, a4, trivial, H)
+    chi = character_table(s4).trivial()
+    with pytest.raises(InternalInconsistencyError, match="Navarro"):
+        strong_series_for(chi, s4, Formation.parse("nilpotent"), series=[trivial, a4, s4])
+    # a failed check is a memoized False, and raises again on the next call
+    with pytest.raises(DomainError, match="Navarro"):
+        unique_invariant_below(theta, s4, a4, trivial, H)
