@@ -5,18 +5,25 @@ supersolvable, p-groups, pi-groups, p-nilpotent, metanilpotent, bounded
 nilpotent length).  All of these are saturated, so projectors exist in every
 finite solvable group and are computed by the usual minimal-normal-subgroup
 recursion with a complement step at the bottom.
+
+Membership of a quotient G/N, for N normal in G, is read off G's class-mask
+lattice (``groups.normal_subgroups``) and no quotient group is built: the
+normal subgroups M >= N of G stand for the normal subgroups M/N of G/N, their
+orders give the indices, and commutator masks give lower central series.  A
+group itself is the case N = 1.  The residual is the meet, a bitwise AND, of
+the masks whose quotients lie in the formation.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, InternalInconsistencyError, UnsupportedGroupError
 from .groups import (
-    chief_series,
     complement,
     intermediate_subgroups,
     intersection,
     is_normal_in,
     is_prime,
+    lower_central_mask,
     minimal_normal_subgroups,
     normal_subgroups,
     prime_divisors,
@@ -36,60 +43,96 @@ _KINDS = (
 
 
 def is_nilpotent(G):
-    """All Sylow subgroups normal.
-
-    With |G| = p^a * m, p not dividing m, the Sylow p-subgroup is normal iff
-    exactly p^a elements have p-power order: a normal Sylow subgroup holds
-    every p-element, and two Sylow subgroups together hold more than p^a.
-    An element order o divides |G|, so it is a power of p iff it divides p^a.
-    """
-    n = G.order()
-    orders = [x.order() for x in G.elements()]
-    for p in prime_divisors(n):
-        pa = p
-        while n % (pa * p) == 0:
-            pa *= p
-        if sum(1 for o in orders if pa % o == 0) != pa:
-            return False
-    return True
+    """The lower central series of G reaches 1."""
+    return Formation("nilpotent").is_member(G)
 
 
 def is_supersolvable(G):
-    """Solvable with all chief factors of prime order."""
-    if not G.is_solvable():
-        return False
-    series = chief_series(G)
-    return all(is_prime(series[i + 1].order() // series[i].order()) for i in range(len(series) - 1))
+    """Every chief factor has prime order."""
+    return Formation("supersolvable").is_member(G)
 
 
 def fitting_subgroup(G):
     """Largest nilpotent normal subgroup."""
-    best = None
-    for N in normal_subgroups(G):
-        if is_nilpotent(N) and (best is None or N.order() > best.order()):
-            best = N
-    return best
+    normal_subgroups(G)
+    return G._normal_masks[_fitting_mask(G, 1)]
 
 
 def nilpotent_length(G):
     """Length of the Fitting series; None when it stalls (nonsolvable)."""
-    length = 0
-    cur = G
-    while cur.order() > 1:
-        F = fitting_subgroup(cur)
-        if F.order() == 1:
-            return None
-        cur = quotient(cur, F)[0]
-        length += 1
-    return length
+    normal_subgroups(G)
+    return _fitting_length(G, 1)
 
 
 def is_p_nilpotent(G, p):
     """Has a normal p-complement."""
-    m = G.order()
-    while m % p == 0:
-        m //= p
-    return any(N.order() == m for N in normal_subgroups(G))
+    return Formation("p_nilpotent", (p,)).is_member(G)
+
+
+# -- quotients G/N on G's lattice; N is given by its class mask n -------------
+
+
+def _full_mask(G):
+    return (1 << len(G.conjugacy_classes())) - 1
+
+
+def _index(G, n):
+    """|G:N|."""
+    return G.order() if n == 1 else G.order() // G._normal_masks[n].order()
+
+
+def _nilpotent_over(G, m, n):
+    """Whether M/N is nilpotent, for normal N <= M of G: gamma_inf(M) <= N."""
+    return lower_central_mask(G, m) & ~n == 0
+
+
+def _fitting_mask(G, n):
+    """Mask of the M >= N of G with M/N the Fitting subgroup of G/N.
+
+    A product of normal nilpotent subgroups is nilpotent, so the largest M
+    with M/N nilpotent contains every other; the lattice is sorted by order,
+    so it is the first one met from the top.
+    """
+    return next(m for m in reversed(G._normal_masks) if m & n == n and _nilpotent_over(G, m, n))
+
+
+def _fitting_length(G, n):
+    """Nilpotent length of G/N; None when the Fitting series stalls (G/N nonsolvable)."""
+    full = _full_mask(G)
+    length = 0
+    while n != full:
+        top = _fitting_mask(G, n)
+        if top == n:
+            return None
+        n, length = top, length + 1
+    return length
+
+
+def _supersolvable_over(G, n):
+    """Whether every chief factor of G between N and G has prime order.
+
+    Chief factors are unique up to isomorphism (Jordan-Hoelder), so one
+    maximal chain of normal subgroups from N to G decides it.  The lattice is
+    sorted by order, so the first mask strictly above N is a minimal step.
+    """
+    masks = G._normal_masks
+    full = _full_mask(G)
+    while n != full:
+        m = next(m for m in masks if m != n and m & n == n)
+        if not is_prime(masks[m].order() // masks[n].order()):
+            return False
+        n = m
+    return True
+
+
+def _p_nilpotent_over(G, n, p):
+    """Whether G/N has a normal p-complement: a normal M >= N with |G:M| = |G:N|_p."""
+    index = _index(G, n)
+    pa = 1
+    while index % (pa * p) == 0:
+        pa *= p
+    order = G.order()
+    return any(m & n == n and order // M.order() == pa for m, M in G._normal_masks.items())
 
 
 class Formation:
@@ -166,24 +209,28 @@ class Formation:
         return self.kind in ("nilpotent", "supersolvable", "p_nilpotent", "metanilpotent", "nilpotent_length")
 
     def is_member(self, G):
-        if G.order() == 1:
+        return self.contains_quotient(G, 1)
+
+    def contains_quotient(self, G, n):
+        """Whether G/N lies in the formation, for the normal N of G with class mask n.
+
+        Decided on G's normal-subgroup lattice; no quotient group is built.
+        """
+        index = _index(G, n)
+        if index == 1:
             return True
+        if self.kind in ("p_groups", "pi_groups"):
+            return set(prime_divisors(index)) <= set(self.params)
+        normal_subgroups(G)
         if self.kind == "nilpotent":
-            return is_nilpotent(G)
+            return _nilpotent_over(G, _full_mask(G), n)
         if self.kind == "supersolvable":
-            return is_supersolvable(G)
-        if self.kind == "p_groups":
-            (p,) = self.params
-            return set(prime_divisors(G.order())) <= {p}
-        if self.kind == "pi_groups":
-            return set(prime_divisors(G.order())) <= set(self.params)
+            return _supersolvable_over(G, n)
         if self.kind == "p_nilpotent":
-            return is_p_nilpotent(G, self.params[0])
-        if self.kind == "metanilpotent":
-            length = nilpotent_length(G)
-            return length is not None and length <= 2
-        length = nilpotent_length(G)
-        return length is not None and length <= self.params[0]
+            return _p_nilpotent_over(G, n, self.params[0])
+        bound = 2 if self.kind == "metanilpotent" else self.params[0]
+        length = _fitting_length(G, n)
+        return length is not None and length <= bound
 
 
 def residual(G, formation):
@@ -192,17 +239,15 @@ def residual(G, formation):
 
 
 def _residual(G, formation):
-    out = None
-    for N in sorted(normal_subgroups(G), key=lambda n: n.order()):
-        if out is not None and out.element_set() <= N.element_set():
-            continue  # intersecting with an overgroup cannot shrink the result
-        if formation.is_member(quotient(G, N)[0]):
-            out = N if out is None else intersection(out, N)
-    if out is None:
-        raise InternalInconsistencyError("no residual found; G/G should always qualify")
-    if not formation.is_member(quotient(G, out)[0]):
+    normal_subgroups(G)
+    out = _full_mask(G)
+    for m in G._normal_masks:
+        # meeting with an overgroup of out cannot shrink it
+        if out & m != out and formation.contains_quotient(G, m):
+            out &= m
+    if not formation.contains_quotient(G, out):
         raise InternalInconsistencyError("residual intersection left the formation")
-    return out
+    return G._normal_masks[out]
 
 
 def projector(G, formation):
@@ -239,8 +284,10 @@ def _navarro(G, K, L, H):
         return False
     if not L.element_set() <= K.element_set():
         return False
-    KL = quotient(K, L)[0]
-    if KL.derived_subgroup().order() != 1:
+    # K/L is abelian iff [K, K] <= L, iff K's generators commute modulo L
+    lset = L.element_set()
+    gens = K.generators
+    if any(a.commutator(b) not in lset for i, a in enumerate(gens) for b in gens[i + 1 :]):
         return False
     if subgroup_product(K, H).order() != G.order():
         return False

@@ -161,9 +161,11 @@ class PermGroup:
 
     The group's own data stays in attributes, filled lazily and idempotently:
     ``_order``, ``_elements`` and ``_element_set``, the stabilizer chain
-    ``_chain``, the conjugacy classes ``_classes`` with ``_class_index``, and
-    the normal-subgroup lattice ``_normals`` with its class masks
-    ``_normal_masks``.
+    ``_chain``, the conjugacy classes ``_classes`` with ``_class_index``, the
+    normal-subgroup lattice ``_normals``, the dict ``_normal_masks`` from each
+    normal subgroup's class mask to the subgroup (in the order of
+    ``_normals``), and the class-product support ``_class_support`` the
+    lattice was closed under.
     """
 
     def __init__(self, degree, generators=()):
@@ -186,6 +188,7 @@ class PermGroup:
         self._class_index = None
         self._normals = None
         self._normal_masks = None
+        self._class_support = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -271,9 +274,6 @@ class PermGroup:
         if self._element_set is None:
             self.elements()
         return self._element_set
-
-    def is_trivial(self):
-        return self.order() == 1
 
     def is_abelian(self):
         gens = self.generators
@@ -383,9 +383,6 @@ class PermGroup:
 
     def is_solvable(self):
         return self.derived_series()[-1].order() == 1
-
-    def is_perfect(self):
-        return self.derived_subgroup().order() == self.order()
 
     def center(self):
         gens = self.generators
@@ -665,20 +662,62 @@ def normal_subgroups(G):
             elts = [x for i in _bits(mask) for x in classes[i].elements]
             lattice.append((PermGroup.from_elements(G, elts), mask))
         lattice.sort(key=lambda pair: pair[0].sort_key())
+        G._class_support = support
+        G._normal_masks = {mask: N for N, mask in lattice}
         G._normals = tuple(N for N, _ in lattice)
-        G._normal_masks = tuple(mask for _, mask in lattice)
     return G._normals
 
 
 def minimal_normal_subgroups(G):
     """Nontrivial normal subgroups containing no other nontrivial one."""
-    normals = normal_subgroups(G)
+    normal_subgroups(G)
     masks = [m for m in G._normal_masks if m != 1]
     return [
         N
-        for N, m in zip(normals, G._normal_masks)
+        for m, N in G._normal_masks.items()
         if m != 1 and not any(o != m and o & m == o for o in masks)
     ]
+
+
+# -- the normal-subgroup algebra on class masks -------------------------------
+
+
+def commutator_mask(G, a, b):
+    """Class mask of [A, B] for the normal subgroups of G with class masks a and b.
+
+    With A = <X> and B = <Y> normal, [A, B] is normal in G and equals the
+    normal closure of the commutators [x, y], x in X and y in Y: that closure
+    lies in [A, B] and contains the normal closure in AB, which is [A, B].
+    The normal closure is the class closure of the commutators' classes.
+    """
+    normal_subgroups(G)
+    A, B = G._normal_masks[a], G._normal_masks[b]
+    index = G.class_index()
+    mask = 1
+    for x in A.generators:
+        for y in B.generators:
+            i = index[x.commutator(y)]
+            if not mask >> i & 1:
+                mask = _close_classes(G._class_support, mask, i)
+    return mask
+
+
+def lower_central_mask(G, m):
+    """Class mask of the last term of the lower central series of the normal M with mask m.
+
+    Each term [gamma_i(M), M] is again normal in G, so the series stays in
+    G's lattice; M is nilpotent iff its last term is trivial (mask 1).
+    """
+
+    def compute():
+        term = m
+        while True:
+            nxt = commutator_mask(G, term, m)
+            if nxt == term:
+                return term
+            term = nxt
+
+    return G.memo(("lower_central", G, m), compute)
 
 
 def chief_series(G, through=()):
@@ -781,9 +820,10 @@ def _coset_action(G, N):
     if Q.order() * N.order() != G.order():
         raise InternalInconsistencyError("quotient order mismatch")
     gmap = GroupMap(G, Q, reps, index, N)
-    for a in G.generators:
-        for b in G.generators:
-            if gmap.apply(a * b) != gmap.apply(a) * gmap.apply(b):
+    pairs = tuple(zip(G.generators, gmap.gen_images))
+    for a, qa in pairs:
+        for b, qb in pairs:
+            if gmap.apply(a * b) != qa * qb:
                 raise InternalInconsistencyError("coset action is not a morphism")
     return Q, gmap
 

@@ -439,13 +439,25 @@ def fprime_descending_test(chi, G, F):
 def gallagher_family(gamma, N):
     """Twists of gamma by the linear characters trivial on N."""
     out = []
-    for lam in character_table(gamma.group).linear_characters():
-        if any(lam(x) != 1 for x in N.generators):
-            continue
+    for lam in _linear_over(gamma.group, N):
         prod = lam * gamma
         if prod not in out:
             out.append(prod)
     return out
+
+
+def _linear_over(U, N):
+    """The linear characters of U whose kernel contains N, memoized on U."""
+
+    def compute():
+        nset = N.element_set()
+        return tuple(
+            lam
+            for lam in character_table(U).linear_characters()
+            if nset <= lam.kernel().element_set()
+        )
+
+    return U.memo(("gallagher", U, N), compute)
 
 
 def theorem_a_report(G, F, N):

@@ -6,9 +6,18 @@ implementation can be checked against frozen values derived once from these.
 
 from itertools import combinations
 
+from formata.characters import character_table
 from formata.cyclotomic import Cyclotomic
 from formata.perms import Perm
-from formata.groups import PermGroup, closure_elements, prime_divisors
+from formata.groups import (
+    PermGroup,
+    chief_series,
+    closure_elements,
+    is_prime,
+    normal_subgroups,
+    prime_divisors,
+    quotient,
+)
 
 
 def brute_elements(degree, gens):
@@ -350,3 +359,74 @@ def oracle_quotient_generators(G, N):
     return [
         tuple(index[least[rep * g]] for rep in cosets) for g in G.generators
     ]
+
+
+# -- formation membership on quotient groups ----------------------------------
+
+
+def oracle_fitting_subgroup(G):
+    """The largest nilpotent normal subgroup, each tested by its Sylow subgroups."""
+    return max((N for N in normal_subgroups(G) if oracle_is_nilpotent(N)), key=lambda N: N.order())
+
+
+def oracle_nilpotent_length(G):
+    """Fitting series by quotient groups; None when it stalls."""
+    length = 0
+    while G.order() > 1:
+        F = oracle_fitting_subgroup(G)
+        if F.order() == 1:
+            return None
+        G = quotient(G, F)[0]
+        length += 1
+    return length
+
+
+def oracle_is_member(formation, G):
+    """Membership of G itself, by the group-level tests the class-mask route replaced."""
+    n = G.order()
+    if n == 1:
+        return True
+    kind, params = formation.kind, formation.params
+    if kind == "nilpotent":
+        return oracle_is_nilpotent(G)
+    if kind == "supersolvable":
+        if not G.is_solvable():
+            return False
+        series = chief_series(G)
+        return all(is_prime(b.order() // a.order()) for a, b in zip(series, series[1:]))
+    if kind in ("p_groups", "pi_groups"):
+        return set(prime_divisors(n)) <= set(params)
+    if kind == "p_nilpotent":
+        while n % params[0] == 0:
+            n //= params[0]
+        return any(N.order() == n for N in normal_subgroups(G))
+    length = oracle_nilpotent_length(G)
+    bound = 2 if kind == "metanilpotent" else params[0]
+    return length is not None and length <= bound
+
+
+def oracle_residual(G, formation):
+    """Intersection of the normal N whose quotient group G/N is a member."""
+    out = frozenset(G.elements())
+    for N in normal_subgroups(G):
+        if oracle_is_member(formation, quotient(G, N)[0]):
+            out &= N.element_set()
+    return out
+
+
+def oracle_commutator(A, B):
+    """Element set of [A, B], generated by [a, b] for every a in A and b in B."""
+    comms = {a.commutator(b) for a in A.elements() for b in B.elements()}
+    return frozenset(brute_elements(A.degree, sorted(comms)))
+
+
+def oracle_gallagher_family(gamma, N):
+    """Twists of gamma by the linear characters trivial on N, tested value by value."""
+    out = []
+    for lam in character_table(gamma.group).linear_characters():
+        if any(lam(x) != 1 for x in N.generators):
+            continue
+        prod = lam * gamma
+        if prod not in out:
+            out.append(prod)
+    return out

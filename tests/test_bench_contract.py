@@ -12,7 +12,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from formata import characters, groups
+from _products import direct_product
+from formata import characters, formations, groups
 from formata.catalog import catalog_group
 from formata.cyclotomic import Cyclotomic
 from formata.formations import Formation
@@ -109,13 +110,15 @@ def test_character_table_reaches_the_traced_layers(monkeypatch):
     assert calls["cyclotomic"] > 0
 
 
-def test_ladder_calls_reach_closure_and_lattice(monkeypatch):
-    # the `ladder` and `verify_catalog` traces expect groups.closure_elements
-    # and groups.normal_subgroups to be entered; like the tracer, rebind every
-    # formata module's copy of the name
+def count_module_calls(monkeypatch, names, owner=groups):
+    """Count calls to owner.<name> through every formata module's binding.
+
+    The tracer wraps a function the same way, so a call that reaches the
+    function only through another name is not seen by either.
+    """
     calls = Counter()
-    for name in ("closure_elements", "normal_subgroups"):
-        raw = getattr(groups, name)
+    for name in names:
+        raw = getattr(owner, name)
 
         def counting(*args, _name=name, _raw=raw, **kwargs):
             calls[_name] += 1
@@ -124,6 +127,13 @@ def test_ladder_calls_reach_closure_and_lattice(monkeypatch):
         for mod_name, mod in list(sys.modules.items()):
             if mod_name.split(".")[0] == "formata" and vars(mod).get(name) is raw:
                 monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_ladder_calls_reach_closure_and_lattice(monkeypatch):
+    # the `ladder` and `verify_catalog` traces expect groups.closure_elements
+    # and groups.normal_subgroups to be entered
+    calls = count_module_calls(monkeypatch, ("closure_elements", "normal_subgroups"))
     s4 = generate(4, ["(0 1)", "(0 1 2 3)"])
     v4 = s4.derived_subgroup().derived_subgroup()
     assert v4.order() == 4
@@ -135,22 +145,6 @@ def test_ladder_calls_reach_closure_and_lattice(monkeypatch):
     calls.clear()
     assert theorem_54_report(s4, Formation.parse("nilpotent"))["summary"]["all_pass"]
     assert calls["normal_subgroups"] > 0
-
-
-def count_module_calls(monkeypatch, names):
-    """Count calls to groups.<name> through every formata module's binding."""
-    calls = Counter()
-    for name in names:
-        raw = getattr(groups, name)
-
-        def counting(*args, _name=name, _raw=raw, **kwargs):
-            calls[_name] += 1
-            return _raw(*args, **kwargs)
-
-        for mod_name, mod in list(sys.modules.items()):
-            if mod_name.split(".")[0] == "formata" and vars(mod).get(name) is raw:
-                monkeypatch.setattr(mod, name, counting)
-    return calls
 
 
 def test_fresh_group_reaches_closure_and_lattice_after_warm_memos(monkeypatch):
@@ -174,3 +168,31 @@ def test_fresh_group_reaches_closure_and_lattice_after_warm_memos(monkeypatch):
     calls.clear()
     assert theorem_54_report(s4, Formation.parse("nilpotent"))["summary"]["all_pass"]
     assert calls["normal_subgroups"] > 0
+
+
+def test_residual_and_mask_searches_build_no_quotient(monkeypatch):
+    # membership of G/N is read off G's lattice: a quotient call here would
+    # put the residual's cost back under the groups.quotient span
+    G = direct_product(catalog_group("S4"), catalog_group("S3"))
+    F = Formation.parse("supersolvable")
+    H = formations.projector(G, F)
+    calls = count_module_calls(monkeypatch, ("quotient",))
+    for desc in ("nilpotent", "supersolvable", "metanilpotent", "nilpotent-length:2", "p-nilpotent:2"):
+        formations._residual(G, Formation.parse(desc))
+    K = formations.residual(G, F)
+    assert formations._navarro(G, K, K.derived_subgroup(), H)
+    assert formations.fitting_subgroup(G).order() == 12
+    assert formations.nilpotent_length(G) == 3
+    assert calls["quotient"] == 0
+
+
+def test_thm54_on_s4_x_s3_enters_the_ladder_spans(monkeypatch):
+    # EXPECTED_SPANS["ladder"] needs these entered through the names the
+    # tracer wraps; quotient is reached only through the projector recursion
+    calls = count_module_calls(monkeypatch, ("quotient", "chief_series", "h_composition_series"))
+    residual_calls = count_module_calls(monkeypatch, ("residual",), owner=formations)
+    G = direct_product(catalog_group("S4"), catalog_group("S3"))
+    assert theorem_54_report(G, Formation.parse("nilpotent"))["summary"]["all_pass"]
+    for name in ("quotient", "chief_series", "h_composition_series"):
+        assert calls[name] > 0, name
+    assert residual_calls["residual"] > 0

@@ -11,7 +11,7 @@ from _oracles import (
     oracle_minimal_normal_subgroups,
     oracle_normal_subgroups,
 )
-from _products import direct_product
+from _products import PAIRS, direct_product
 from formata.catalog import catalog_group, load_catalog
 from formata.errors import CapacityError, DomainError
 from formata.groups import (
@@ -138,16 +138,6 @@ def test_normal_lattice_matches_oracle_on_s4_x_s3():
     G = direct_product(catalog_group("S4"), catalog_group("S3"))
     assert G.order() == 144
     assert_lattice_matches_oracle(G)
-
-
-# catalog groups of order <= 24, paired so the product has order <= 48: the
-# closure oracle then takes about a second per example at most
-PAIRS = [
-    (a.name, b.name)
-    for a in load_catalog()
-    for b in load_catalog()
-    if a.order <= 24 and b.order <= 24 and a.order * b.order <= 48
-]
 
 
 @settings(max_examples=15, deadline=None)

@@ -2,11 +2,12 @@
 
 import pytest
 
+from _oracles import oracle_gallagher_family
 from _products import direct_product
 from formata.catalog import catalog_group
 from formata.characters import character_table
 from formata.errors import DomainError, NoStrongSeriesError, UnsupportedGroupError
-from formata.formations import Formation, navarro_condition, residual
+from formata.formations import Formation, navarro_condition, projector, residual
 from formata.groups import (
     PermGroup,
     generate,
@@ -23,6 +24,7 @@ from formata.headchars import (
     extension_transfer_check,
     fprime_ascending,
     fprime_descending_test,
+    gallagher_family,
     is_head_character,
     strong_series_for,
     theorem_54_report,
@@ -508,6 +510,17 @@ def test_theorem_a_odd_order_part_c():
         rep = theorem_a_report(G, SUP, N)
         assert rep["summary"]["all_pass"]
         assert rep["summary"]["hypothesis"]["met"]
+
+
+@pytest.mark.parametrize("name", ["S4", "D12", "Q8", "SL23", "G75", "2S4"])
+def test_gallagher_family_matches_value_oracle(name):
+    G = catalog_group(name)
+    H = projector(G, NIL)
+    for N in normal_subgroups(G):
+        NH = subgroup_product(N, H)
+        for gamma in character_table(NH).irr:
+            assert gallagher_family(gamma, N) == oracle_gallagher_family(gamma, N)
+        assert ("gallagher", NH, N) in NH._memo
 
 
 def test_theorem_a_rejects_non_normal():

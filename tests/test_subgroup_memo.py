@@ -12,7 +12,7 @@ from _oracles import (
     oracle_quotient_generators,
     oracle_sylow,
 )
-from _products import direct_product
+from _products import PAIRS, direct_product
 from formata import formations
 from formata.catalog import catalog_group, load_catalog
 from formata.characters import character_table
@@ -123,15 +123,6 @@ def assert_memo_matches_oracles(G):
 @pytest.mark.parametrize("entry", load_catalog(), ids=lambda entry: entry.name)
 def test_memo_matches_oracles_on_catalog(entry):
     assert_memo_matches_oracles(generate(entry.degree, entry.words))
-
-
-# catalog groups of order <= 24 whose direct product has order <= 48
-PAIRS = [
-    (a.name, b.name)
-    for a in load_catalog()
-    for b in load_catalog()
-    if a.order <= 24 and b.order <= 24 and a.order * b.order <= 48
-]
 
 
 @settings(max_examples=10, deadline=None)
