@@ -134,34 +134,13 @@ def _root_of_unity(e, q):
 
 
 def _sqrt_mod(a, q):
-    """Tonelli-Shanks square root mod an odd prime; None if non-residue."""
-    a %= q
-    if a == 0:
-        return 0
-    if pow(a, (q - 1) // 2, q) != 1:
-        return None
-    if q % 4 == 3:
-        return pow(a, (q + 1) // 4, q)
-    s, t = 0, q - 1
-    while t % 2 == 0:
-        s += 1
-        t //= 2
-    z = next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) == q - 1)
-    c = pow(z, t, q)
-    r = pow(a, (t + 1) // 2, q)
-    u = pow(a, t, q)
-    m = s
-    while u != 1:
-        d, i = u, 0
-        while d != 1:
-            d = d * d % q
-            i += 1
-        b = pow(c, 1 << (m - i - 1), q)
-        r = r * b % q
-        c = b * b % q
-        u = u * c % q
-        m = i
-    return r
+    """The least square root of a mod the prime q, or None for a non-residue.
+
+    A search over all of GF(q) by poly_roots_mod on x**2 - a, in int64 under
+    its bound (q-1)**2 < 2**63.
+    """
+    roots = poly_roots_mod([-a, 0, 1], q)
+    return roots[0] if roots else None
 
 
 class ClassFunction:
@@ -324,7 +303,7 @@ class ClassFunction:
         r = M.reshape(-1) @ _fold(e, -1)
         return _cyclotomic(e, tuple(int(x) for x in r), G.order() * self.den * other.den)
 
-    def is_irreducible(self, table=None):
+    def is_irreducible(self):
         v = self.inner(self)
         return v.is_rational() and v.as_fraction() == 1
 

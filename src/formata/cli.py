@@ -16,6 +16,9 @@ from .headchars import (
     counting_report,
     extension_transfer_check,
     fprime_ascending,
+    instance,
+    report,
+    tally,
     theorem_54_report,
     theorem_a_report,
     theorem_b_report,
@@ -190,24 +193,16 @@ def counterexample_report():
         and rep["phi_extensions"] > 0
         and not rep["all_transfers_hold"]
     )
-    return {
-        "theorem": "extension-transfer-counterexample",
-        "group": G.to_json(),
-        "formation": str(F),
-        "instances": [
-            {
-                "inputs": {
-                    "residual_order": K.order(),
-                    "derived_order": L.order(),
-                    "theta_degree": theta.degree().as_int(),
-                    "phi_degree": phi.degree().as_int(),
-                },
-                "pass": confirmed,
-                "witnesses": rep,
-            }
-        ],
-        "summary": {"all_pass": confirmed, "hypothesis": rep["hypothesis"]},
+    inputs = {
+        "residual_order": K.order(),
+        "derived_order": L.order(),
+        "theta_degree": theta.degree().as_int(),
+        "phi_degree": phi.degree().as_int(),
     }
+    return report(
+        "extension-transfer-counterexample", G, F, [instance(inputs, confirmed, rep)],
+        all_pass=confirmed, hypothesis=rep["hypothesis"],
+    )
 
 
 def _counterexample_lines():
@@ -278,29 +273,16 @@ def _single(G, F, targets, reports):
 
 def _merge_thm_a(G, F, normals, reports):
     instances = [inst for rep in reports for inst in rep["instances"]]
-    return {
-        "theorem": "A",
-        "group": G.to_json(),
-        "formation": str(F),
-        "instances": instances,
-        "summary": {
-            "normals": len(normals),
-            "characters": len(instances),
-            "passed": sum(1 for inst in instances if inst["pass"]),
-            "all_pass": _all_pass(reports),
-            "hypothesis": reports[-1]["summary"]["hypothesis"],
-        },
-    }
+    return report(
+        "A", G, F, instances,
+        normals=len(normals), characters=len(instances), **tally(instances),
+        hypothesis=reports[-1]["summary"]["hypothesis"],
+    )
 
 
 def _merge_thm_c(G, F, primes, reports):
-    return {
-        "theorem": "C",
-        "group": G.to_json(),
-        "formation": None,
-        "instances": [inst for rep in reports for inst in rep["instances"]],
-        "summary": {"primes": list(primes), "all_pass": _all_pass(reports)},
-    }
+    instances = [inst for rep in reports for inst in rep["instances"]]
+    return report("C", G, None, instances, primes=list(primes), all_pass=_all_pass(reports))
 
 
 class Check(NamedTuple):

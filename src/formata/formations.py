@@ -18,6 +18,9 @@ from __future__ import annotations
 
 from .errors import DomainError, InternalInconsistencyError, UnsupportedGroupError
 from .groups import (
+    INTERMEDIATE_MAX_ORDER,
+    _full_mask,
+    chief_masks,
     complement,
     intermediate_subgroups,
     intersection,
@@ -72,10 +75,6 @@ def is_p_nilpotent(G, p):
 # -- quotients G/N on G's lattice; N is given by its class mask n -------------
 
 
-def _full_mask(G):
-    return (1 << len(G.conjugacy_classes())) - 1
-
-
 def _index(G, n):
     """|G:N|."""
     return G.order() if n == 1 else G.order() // G._normal_masks[n].order()
@@ -112,17 +111,11 @@ def _supersolvable_over(G, n):
     """Whether every chief factor of G between N and G has prime order.
 
     Chief factors are unique up to isomorphism (Jordan-Hoelder), so one
-    maximal chain of normal subgroups from N to G decides it.  The lattice is
-    sorted by order, so the first mask strictly above N is a minimal step.
+    chief series from N to G decides it.
     """
+    series = chief_masks(G, n, _full_mask(G))
     masks = G._normal_masks
-    full = _full_mask(G)
-    while n != full:
-        m = next(m for m in masks if m != n and m & n == n)
-        if not is_prime(masks[m].order() // masks[n].order()):
-            return False
-        n = m
-    return True
+    return all(is_prime(masks[b].order() // masks[a].order()) for a, b in zip(series, series[1:]))
 
 
 def _p_nilpotent_over(G, n, p):
@@ -295,12 +288,12 @@ def _navarro(G, K, L, H):
     return intersection(K, LH).element_set() == L.element_set()
 
 
-def verify_projector(G, H, formation, max_lattice=600):
+def verify_projector(G, H, formation):
     """Named checks of the defining projector properties; exact, no floats."""
     out = {}
     out["member"] = formation.is_member(H)
     out["covers_residual"] = subgroup_product(H, residual(G, formation)).order() == G.order()
-    if G.order() <= max_lattice:
+    if G.order() <= INTERMEDIATE_MAX_ORDER:
         maximal = True
         for U in intermediate_subgroups(G, H):
             if U.order() > H.order() and formation.is_member(U):

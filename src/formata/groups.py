@@ -682,6 +682,10 @@ def minimal_normal_subgroups(G):
 # -- the normal-subgroup algebra on class masks -------------------------------
 
 
+def _full_mask(G):
+    return (1 << len(G.conjugacy_classes())) - 1
+
+
 def commutator_mask(G, a, b):
     """Class mask of [A, B] for the normal subgroups of G with class masks a and b.
 
@@ -720,35 +724,37 @@ def lower_central_mask(G, m):
     return G.memo(("lower_central", G, m), compute)
 
 
+def chief_masks(G, lo, hi):
+    """Class masks of a chief series of G from the normal mask lo up to hi >= lo.
+
+    Each step takes the first lattice mask strictly above the current one and
+    inside hi.  The lattice is sorted by sort_key, so that is the least such
+    normal subgroup, and no normal subgroup lies strictly between the two.
+    """
+    normal_subgroups(G)
+    series = [lo]
+    while lo != hi:
+        lo = next(m for m in G._normal_masks if m != lo and m & lo == lo and m & hi == m)
+        series.append(lo)
+    return series
+
+
 def chief_series(G, through=()):
     """A chief series of G passing through the given chain of normal subgroups."""
     if not G.is_solvable():
         raise UnsupportedGroupError("chief series requires a solvable group")
-    normals = normal_subgroups(G)
-    for A in through:
-        if not is_normal_in(A, G):
-            raise DomainError("chief series anchor is not normal")
-    targets = sorted({A.sort_key(): A for A in through}.items())
-    targets = [A for _, A in targets] + [G]
-    prev = None
-    for T in targets:
-        if prev is not None and not prev.is_subgroup_of(T):
+    normal_subgroups(G)
+    mask_of = {N.element_set(): m for m, N in G._normal_masks.items()}
+    if any(A.element_set() not in mask_of for A in through):
+        raise DomainError("chief series anchor is not normal")
+    anchors = {mask_of[A.element_set()] for A in through}
+    targets = [m for m in G._normal_masks if m in anchors] + [_full_mask(G)]
+    series = [1]
+    for t in targets:
+        if t & series[-1] != series[-1]:
             raise DomainError("chief series anchors do not form a chain")
-        prev = T
-    series = [PermGroup.from_elements(G, [G.identity()])]
-    for T in targets:
-        while series[-1].order() != T.order():
-            cur = series[-1]
-            candidates = [
-                N
-                for N in normals
-                if N.order() > cur.order()
-                and cur.is_subgroup_of(N)
-                and N.is_subgroup_of(T)
-            ]
-            nxt = min(candidates, key=lambda N: N.sort_key())
-            series.append(nxt)
-    return series
+        series += chief_masks(G, series[-1], t)[1:]
+    return [G._normal_masks[m] for m in series]
 
 
 # -- quotients ----------------------------------------------------------------
@@ -757,13 +763,13 @@ def chief_series(G, through=()):
 class GroupMap:
     """Homomorphism onto a coset-action quotient, with kernel and a section."""
 
-    def __init__(self, source, target, coset_reps, coset_index, kernel):
+    def __init__(self, source, target, coset_reps, coset_index, kernel, gen_images):
         self.source = source
         self.target = target
         self._reps = coset_reps
         self._index = coset_index
         self._kernel = kernel
-        self.gen_images = tuple(self.apply(g) for g in source.generators)
+        self.gen_images = tuple(gen_images)  # one image per generator of source
 
     def kernel(self):
         return self._kernel
@@ -819,7 +825,7 @@ def _coset_action(G, N):
     Q = PermGroup(len(reps), qgens)
     if Q.order() * N.order() != G.order():
         raise InternalInconsistencyError("quotient order mismatch")
-    gmap = GroupMap(G, Q, reps, index, N)
+    gmap = GroupMap(G, Q, reps, index, N, qgens)
     pairs = tuple(zip(G.generators, gmap.gen_images))
     for a, qa in pairs:
         for b, qb in pairs:
@@ -831,7 +837,13 @@ def _coset_action(G, N):
 # -- complements --------------------------------------------------------------
 
 
-def complement(G, A, seed=20240801, attempts=512):
+# seeded random lift tuples tried before the exhaustive search; the seed fixes
+# which complement is found
+COMPLEMENT_SEED = 20240801
+COMPLEMENT_ATTEMPTS = 512
+
+
+def complement(G, A):
     """A complement to the abelian normal subgroup A, or None (certified).
 
     Tries seeded random lift tuples first, then enumerates all lift tuples
@@ -860,8 +872,8 @@ def complement(G, A, seed=20240801, attempts=512):
             return C
         return None
 
-    rng = random.Random(seed)
-    for _ in range(attempts):
+    rng = random.Random(COMPLEMENT_SEED)
+    for _ in range(COMPLEMENT_ATTEMPTS):
         lifts = [coset[rng.randrange(len(coset))] for coset in cosets]
         C = try_tuple(lifts)
         if C is not None:
@@ -906,13 +918,8 @@ def h_composition_series(G, H, anchors=()):
             if hi.order() > lo.order():
                 M = subgroup_product(hi, H)
                 cs = chief_series(M, through=[lo, hi])
-                mids = [
-                    T
-                    for T in cs
-                    if lo.order() < T.order() < hi.order()
-                    and lo.is_subgroup_of(T)
-                    and T.is_subgroup_of(hi)
-                ]
+                # cs passes through lo and hi, so these are the terms between them
+                mids = [T for T in cs if lo.order() < T.order() < hi.order()]
                 if mids:
                     changed = True
                 new_chain.extend(mids)
@@ -922,12 +929,17 @@ def h_composition_series(G, H, anchors=()):
             return chain
 
 
+INTERMEDIATE_MAX_ORDER = 600
+
+
 def intermediate_subgroups(G, H):
     """All subgroups U with H <= U <= G, grown one element at a time."""
     if not H.is_subgroup_of(G):
         raise DomainError("H must be a subgroup of G")
-    if G.order() > 600:
-        raise CapacityError("intermediate subgroup sweep capped at order 600")
+    if G.order() > INTERMEDIATE_MAX_ORDER:
+        raise CapacityError(
+            "intermediate subgroup sweep capped at order %d" % INTERMEDIATE_MAX_ORDER
+        )
     start = PermGroup.from_elements(G, closure_elements(G.degree, H.generators))
     found = {frozenset(start.element_set()): start}
     queue = [start]

@@ -11,7 +11,6 @@ from .formations import Formation, navarro_condition, projector, residual
 from .groups import (
     PermGroup,
     h_composition_series,
-    intersection,
     is_normal_in,
     is_prime,
     normal_subgroups,
@@ -215,37 +214,31 @@ def _check_triple(chi, G, K, L, H, expect):
         raise DomainError("(G, K, L) fails the Navarro condition for H")
 
 
+def _unique_invariant(irr, H, meets, direction):
+    """The one H-invariant member of irr that meets the given character."""
+    found = [psi for psi in irr if psi.is_invariant_under(H) and meets(psi)]
+    if len(found) != 1:
+        raise InternalInconsistencyError(
+            "expected one H-invariant constituent %s, found %d" % (direction, len(found))
+        )
+    return found[0]
+
+
 def unique_invariant_below(theta, G, K, L, H):
     """The unique H-invariant irreducible constituent of theta restricted to L."""
     _check_triple(theta, G, K, L, H, expect=K)
     rest = theta.restrict(L)
-    found = [
-        phi
-        for phi in character_table(L).irr
-        if phi.is_invariant_under(H) and not rest.inner(phi).is_zero()
-    ]
-    if len(found) != 1:
-        raise InternalInconsistencyError(
-            "expected one H-invariant constituent below, found %d" % len(found)
-        )
-    return found[0]
+    irr = character_table(L).irr
+    return _unique_invariant(irr, H, lambda phi: not rest.inner(phi).is_zero(), "below")
 
 
 def unique_invariant_above(phi, G, K, L, H):
     """The unique H-invariant member of Irr(K) lying over phi."""
     _check_triple(phi, G, K, L, H, expect=L)
-    found = []
-    for theta in character_table(K).irr:
-        if not theta.is_invariant_under(H):
-            continue
-        if theta.restrict(L).inner(phi).is_zero():
-            continue
-        found.append(theta)
-    if len(found) != 1:
-        raise InternalInconsistencyError(
-            "expected one H-invariant constituent above, found %d" % len(found)
-        )
-    return found[0]
+    irr = character_table(K).irr
+    return _unique_invariant(
+        irr, H, lambda theta: not theta.restrict(L).inner(phi).is_zero(), "above"
+    )
 
 
 def extension_transfer_check(G, K, L, F, theta, phi):
@@ -386,54 +379,39 @@ def fprime_descending_test(chi, G, F):
         raise DomainError("chi must be a character of G")
     cs = canonical_series(G, F)
     H = cs.projector
+    chain = []
+
+    def verdict(reason):
+        """chi is a head character when no step gave a reason against it."""
+        return {"member": reason is None, "reason": reason, "chain": chain}
+
     if cs.m == 0:
         linear = chi.degree() == 1
-        return {
-            "member": bool(linear),
-            "reason": None if linear else "formation member: only linear characters qualify",
-            "chain": [],
-        }
-    chain = []
+        return verdict(None if linear else "formation member: only linear characters qualify")
     K0 = cs.pairs[0][0]
     theta = chi.restrict(K0)
     if not theta.is_irreducible():
-        return {
-            "member": False,
-            "reason": "restriction to the residual (order %d) is reducible" % K0.order(),
-            "chain": chain,
-        }
+        return verdict("restriction to the residual (order %d) is reducible" % K0.order())
     chain.append({"level": "K0", "order": K0.order(), "character": theta})
     for i in range(cs.m):
         K, L = cs.pairs[i]
         KH = cs.level(i)
         if i > 0 and not extensions_of(theta, KH):
-            return {
-                "member": False,
-                "reason": "theta_%d does not extend to K_%dH" % (i, i),
-                "chain": chain,
-            }
+            return verdict("theta_%d does not extend to K_%dH" % (i, i))
         phi = unique_invariant_below(theta, KH, K, L, H)
         LH = cs.level(i + 1)
         if not extensions_of(phi, LH):
-            return {
-                "member": False,
-                "reason": "phi_%d does not extend to L_%dH" % (i, i),
-                "chain": chain,
-            }
+            return verdict("phi_%d does not extend to L_%dH" % (i, i))
         chain.append({"level": "L%d" % i, "order": L.order(), "character": phi})
         # the link (phi_i)|_{K_{i+1}} = theta_{i+1} must produce an irreducible
         # character; at the last layer K_m = 1 this forces phi_{m-1} linear
         nextK = cs.pairs[i + 1][0] if i + 1 < cs.m else _trivial_subgroup(G)
         theta = phi.restrict(nextK)
         if not theta.is_irreducible():
-            return {
-                "member": False,
-                "reason": "restriction of phi_%d to K_%d is reducible" % (i, i + 1),
-                "chain": chain,
-            }
+            return verdict("restriction of phi_%d to K_%d is reducible" % (i, i + 1))
         if i + 1 < cs.m:
             chain.append({"level": "K%d" % (i + 1), "order": nextK.order(), "character": theta})
-    return {"member": True, "reason": None, "chain": chain}
+    return verdict(None)
 
 
 def gallagher_family(gamma, N):
@@ -458,6 +436,28 @@ def _linear_over(U, N):
         )
 
     return U.memo(("gallagher", U, N), compute)
+
+
+def report(theorem, G, F, instances, **summary):
+    """The JSON report of a theorem verifier; F is None for a check without a formation."""
+    return {
+        "theorem": theorem,
+        "group": G.to_json(),
+        "formation": None if F is None else str(F),
+        "instances": instances,
+        "summary": summary,
+    }
+
+
+def instance(inputs, ok, witnesses):
+    """One checked case of a report: what was checked, whether it held, and why."""
+    return {"inputs": inputs, "pass": ok, "witnesses": witnesses}
+
+
+def tally(instances):
+    """The summary counts of a report with one instance per character."""
+    passed = sum(1 for inst in instances if inst["pass"])
+    return {"passed": passed, "all_pass": passed == len(instances)}
 
 
 def theorem_a_report(G, F, N):
@@ -504,26 +504,33 @@ def theorem_a_report(G, F, N):
         witnesses["part_b"] = part_b
         witnesses["part_c"] = part_c
         ok_all = part_a and part_b and (not part_c["checked"] or part_c["pass"])
-        instances.append(
-            {
-                "inputs": {"character": irr_g.index(chi), "normal": _subgroup_json(N)},
-                "pass": ok_all,
-                "witnesses": witnesses,
-            }
-        )
-    passed = sum(1 for inst in instances if inst["pass"])
-    return {
-        "theorem": "A",
-        "group": G.to_json(),
-        "formation": str(F),
-        "instances": instances,
-        "summary": {
-            "normal_order": N.order(),
-            "characters": len(instances),
-            "passed": passed,
-            "all_pass": passed == len(instances),
-            "hypothesis": hyp,
-        },
+        inputs = {"character": irr_g.index(chi), "normal": _subgroup_json(N)}
+        instances.append(instance(inputs, ok_all, witnesses))
+    return report(
+        "A", G, F, instances,
+        normal_order=N.order(), characters=len(instances), **tally(instances), hypothesis=hyp,
+    )
+
+
+def _kernel_bound(G, chars, X, Y):
+    """The meet of the kernels of chars, set against the normal N of G with N meet X <= Y.
+
+    Returns the meet, the qualifying N in lattice order, and the witnesses of
+    Theorems B and C: the meet equals the largest qualifying N, which
+    contains every other one.
+    """
+    kernels = [chi.kernel().element_set() for chi in chars]
+    meet = PermGroup.from_elements(G, frozenset.intersection(*kernels))
+    xset, yset = X.element_set(), Y.element_set()
+    qualifying = [N for N in normal_subgroups(G) if N.element_set() & xset <= yset]
+    largest = max(qualifying, key=lambda N: N.order())
+    return meet, qualifying, {
+        "kernel_intersection": _subgroup_json(meet),
+        "kernel_intersection_order": meet.order(),
+        "largest_normal": _subgroup_json(largest),
+        "largest_normal_order": largest.order(),
+        "equal": meet.same_group_as(largest),
+        "qualifying_closed_under_join": all(N.is_subgroup_of(largest) for N in qualifying),
     }
 
 
@@ -531,44 +538,17 @@ def theorem_b_report(G, F):
     """Intersection of head character kernels against the largest normal M."""
     H = projector(G, F)
     heads = fprime_ascending(G, F)
-    meet = None
-    for chi in heads:
-        ker = chi.kernel()
-        meet = ker if meet is None else intersection(meet, ker)
-    h_derived = H.derived_subgroup()
-    qualifying = [
-        N for N in normal_subgroups(G) if intersection(N, H).is_subgroup_of(h_derived)
-    ]
-    largest = max(qualifying, key=lambda N: N.order())
-    closure_ok = all(N.is_subgroup_of(largest) for N in qualifying)
-    equal = meet.same_group_as(largest)
-    kernel_lemma_ok = all(N.is_subgroup_of(meet) for N in qualifying)
+    meet, qualifying, witnesses = _kernel_bound(G, heads, H, H.derived_subgroup())
+    witnesses["kernel_lemma"] = all(N.is_subgroup_of(meet) for N in qualifying)
     Q, gmap = quotient(G, meet)
     heads_q = fprime_ascending(Q, F)
     deflated = [deflate(chi, gmap) for chi in heads]
-    inflation_ok = len(deflated) == len(heads_q) and all(d in heads_q for d in deflated)
-    ok = equal and closure_ok and kernel_lemma_ok and inflation_ok
-    instance = {
-        "inputs": {},
-        "pass": ok,
-        "witnesses": {
-            "kernel_intersection": _subgroup_json(meet),
-            "kernel_intersection_order": meet.order(),
-            "largest_normal": _subgroup_json(largest),
-            "largest_normal_order": largest.order(),
-            "equal": equal,
-            "qualifying_closed_under_join": closure_ok,
-            "kernel_lemma": kernel_lemma_ok,
-            "inflation_bijection": inflation_ok,
-        },
-    }
-    return {
-        "theorem": "B",
-        "group": G.to_json(),
-        "formation": str(F),
-        "instances": [instance],
-        "summary": {"all_pass": ok, "M_order": meet.order()},
-    }
+    witnesses["inflation_bijection"] = len(deflated) == len(heads_q) and all(
+        d in heads_q for d in deflated
+    )
+    checks = ("equal", "qualifying_closed_under_join", "kernel_lemma", "inflation_bijection")
+    ok = all(witnesses[key] for key in checks)
+    return report("B", G, F, [instance({}, ok, witnesses)], all_pass=ok, M_order=meet.order())
 
 
 def theorem_c_report(G, p):
@@ -578,74 +558,33 @@ def theorem_c_report(G, p):
     if not G.is_solvable():
         raise UnsupportedGroupError("the kernel theorem is verified for solvable groups")
     P = sylow(G, p)
-    p_derived = P.derived_subgroup()
-    norm_p = normalizer(G, P)
     irr = character_table(G).irr
     rows = [i for i, chi in enumerate(irr) if chi.degree().as_int() % p != 0]
-    meet = None
-    for i in rows:
-        ker = irr[i].kernel()
-        meet = ker if meet is None else intersection(meet, ker)
-    qualifying = [
-        N
-        for N in normal_subgroups(G)
-        if intersection(N, norm_p).is_subgroup_of(p_derived)
-    ]
-    largest = max(qualifying, key=lambda N: N.order())
-    closure_ok = all(N.is_subgroup_of(largest) for N in qualifying)
-    equal = meet.same_group_as(largest)
-    ok = equal and closure_ok
-    instance = {
-        "inputs": {"prime": p, "p_prime_rows": rows},
-        "pass": ok,
-        "witnesses": {
-            "kernel_intersection": _subgroup_json(meet),
-            "kernel_intersection_order": meet.order(),
-            "largest_normal": _subgroup_json(largest),
-            "largest_normal_order": largest.order(),
-            "equal": equal,
-            "qualifying_closed_under_join": closure_ok,
-        },
-    }
-    return {
-        "theorem": "C",
-        "group": G.to_json(),
-        "formation": None,
-        "instances": [instance],
-        "summary": {"all_pass": ok, "K_order": meet.order()},
-    }
+    meet, _, witnesses = _kernel_bound(
+        G, [irr[i] for i in rows], normalizer(G, P), P.derived_subgroup()
+    )
+    ok = witnesses["equal"] and witnesses["qualifying_closed_under_join"]
+    inputs = {"prime": p, "p_prime_rows": rows}
+    return report(
+        "C", G, None, [instance(inputs, ok, witnesses)], all_pass=ok, K_order=meet.order()
+    )
 
 
 def theorem_54_report(G, F):
     """Ascending set, strong-series membership, and descending test must agree."""
     heads = set(fprime_ascending(G, F))
-    irr = character_table(G).irr
     instances = []
-    for i, chi in enumerate(irr):
+    for i, chi in enumerate(character_table(G).irr):
         asc = chi in heads
         strong = is_head_character(chi, G, F)
         desc = fprime_descending_test(chi, G, F)["member"]
-        ok = asc == strong == desc
-        instances.append(
-            {
-                "inputs": {"character": i, "degree": chi.degree().as_int()},
-                "pass": ok,
-                "witnesses": {"ascending": asc, "strong_series": strong, "descending": desc},
-            }
-        )
-    passed = sum(1 for inst in instances if inst["pass"])
-    return {
-        "theorem": "5.4",
-        "group": G.to_json(),
-        "formation": str(F),
-        "instances": instances,
-        "summary": {
-            "characters": len(instances),
-            "head_count": len(heads),
-            "passed": passed,
-            "all_pass": passed == len(instances),
-        },
-    }
+        witnesses = {"ascending": asc, "strong_series": strong, "descending": desc}
+        inputs = {"character": i, "degree": chi.degree().as_int()}
+        instances.append(instance(inputs, asc == strong == desc, witnesses))
+    return report(
+        "5.4", G, F, instances,
+        characters=len(instances), head_count=len(heads), **tally(instances),
+    )
 
 
 def counting_check(G, F):
@@ -658,16 +597,5 @@ def counting_report(G, F):
     count = len(fprime_ascending(G, F))
     target = H.order() // H.derived_subgroup().order()
     ok = count == target
-    return {
-        "theorem": "counting",
-        "group": G.to_json(),
-        "formation": str(F),
-        "instances": [
-            {
-                "inputs": {},
-                "pass": ok,
-                "witnesses": {"head_count": count, "projector_abelianization": target},
-            }
-        ],
-        "summary": {"all_pass": ok},
-    }
+    witnesses = {"head_count": count, "projector_abelianization": target}
+    return report("counting", G, F, [instance({}, ok, witnesses)], all_pass=ok)

@@ -9,10 +9,11 @@ from itertools import combinations
 from formata.characters import character_table
 from formata.cyclotomic import Cyclotomic
 from formata.perms import Perm
+from formata.errors import DomainError
 from formata.groups import (
     PermGroup,
-    chief_series,
     closure_elements,
+    is_normal_in,
     is_prime,
     normal_subgroups,
     prime_divisors,
@@ -296,6 +297,37 @@ def oracle_lift(G, c_mod, d, q, z, e, power_cache):
 # -- the subgroup algebra, recomputed on element sets with no memo ------------
 
 
+def oracle_sqrt_mod(a, q):
+    """Tonelli-Shanks square root mod an odd prime; None if non-residue."""
+    a %= q
+    if a == 0:
+        return 0
+    if pow(a, (q - 1) // 2, q) != 1:
+        return None
+    if q % 4 == 3:
+        return pow(a, (q + 1) // 4, q)
+    s, t = 0, q - 1
+    while t % 2 == 0:
+        s += 1
+        t //= 2
+    z = next(x for x in range(2, q) if pow(x, (q - 1) // 2, q) == q - 1)
+    c = pow(z, t, q)
+    r = pow(a, (t + 1) // 2, q)
+    u = pow(a, t, q)
+    m = s
+    while u != 1:
+        d, i = u, 0
+        while d != 1:
+            d = d * d % q
+            i += 1
+        b = pow(c, 1 << (m - i - 1), q)
+        r = r * b % q
+        c = b * b % q
+        u = u * c % q
+        m = i
+    return r
+
+
 def _p_power_order(x, p):
     o = x.order()
     while o % p == 0:
@@ -364,6 +396,32 @@ def oracle_quotient_generators(G, N):
 # -- formation membership on quotient groups ----------------------------------
 
 
+def oracle_chief_series(G, through=()):
+    """The walk chief_series replaced: sift each candidate, take the least by sort_key."""
+    normals = normal_subgroups(G)
+    for A in through:
+        if not is_normal_in(A, G):
+            raise DomainError("chief series anchor is not normal")
+    targets = sorted({A.sort_key(): A for A in through}.items())
+    targets = [A for _, A in targets] + [G]
+    prev = None
+    for T in targets:
+        if prev is not None and not prev.is_subgroup_of(T):
+            raise DomainError("chief series anchors do not form a chain")
+        prev = T
+    series = [PermGroup.from_elements(G, [G.identity()])]
+    for T in targets:
+        while series[-1].order() != T.order():
+            cur = series[-1]
+            candidates = [
+                N
+                for N in normals
+                if N.order() > cur.order() and cur.is_subgroup_of(N) and N.is_subgroup_of(T)
+            ]
+            series.append(min(candidates, key=lambda N: N.sort_key()))
+    return series
+
+
 def oracle_fitting_subgroup(G):
     """The largest nilpotent normal subgroup, each tested by its Sylow subgroups."""
     return max((N for N in normal_subgroups(G) if oracle_is_nilpotent(N)), key=lambda N: N.order())
@@ -392,7 +450,7 @@ def oracle_is_member(formation, G):
     if kind == "supersolvable":
         if not G.is_solvable():
             return False
-        series = chief_series(G)
+        series = oracle_chief_series(G)
         return all(is_prime(b.order() // a.order()) for a, b in zip(series, series[1:]))
     if kind in ("p_groups", "pi_groups"):
         return set(prime_divisors(n)) <= set(params)

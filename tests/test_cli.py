@@ -134,6 +134,22 @@ def test_verify_thm_a_sweeps_all_normals(capsys):
     assert out.count("thm-a") == 4
 
 
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", check, "S4"] for check in ("counting", "thm54", "thm-b", "thm-a", "thm-c")]
+    + [["verify", "counterexample-2S4"]],
+    ids=lambda argv: argv[1],
+)
+def test_verify_json_matches_golden_report(capsys, argv):
+    # whole reports byte for byte, key order included
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    assert out == (GOLDEN / ("_".join(argv) + ".json")).read_text()
+
+
 def test_verify_counterexample(capsys):
     code, out, _ = run(capsys, "verify", "counterexample-2S4")
     assert code == 0

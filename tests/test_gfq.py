@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import oracle_sqrt_mod
 from formata import gfq
+from formata.characters import _sqrt_mod
 from formata.errors import DomainError
 from formata.groups import is_prime
 
@@ -82,6 +84,14 @@ def test_poly_roots_exhaustive():
                 out[i + j] = (out[i + j] + a * b) % Q
         coeffs = out
     assert gfq.poly_roots_mod(coeffs, Q) == [3, 5, 10, 91]
+
+
+@pytest.mark.parametrize("q", [7, 13, 17, 97, 193, 337])
+def test_sqrt_mod_is_the_least_tonelli_shanks_root(q):
+    # q = 7 is 3 mod 4, q = 13 is 5 mod 8, the others are 1 mod 8
+    for a in range(q):
+        r = oracle_sqrt_mod(a, q)
+        assert _sqrt_mod(a, q) == (None if r is None else min(r, (q - r) % q)), a
 
 
 def test_matmul_matches_python():

@@ -8,6 +8,7 @@ from _oracles import (
     brute_derived,
     brute_elements,
     brute_normal_subgroups,
+    oracle_chief_series,
     oracle_minimal_normal_subgroups,
     oracle_normal_subgroups,
 )
@@ -215,6 +216,37 @@ def test_chief_series_s4(s4, v4, a4):
         assert Q.is_abelian()
         p = min(x.order() for x in Q.elements() if not x.is_identity())
         assert all(x.order() in (1, p) for x in Q.elements())
+
+
+def assert_chief_series_match_oracle(G):
+    # the same subgroup objects, with no anchor, one normal anchor, and the
+    # derived series as a chain of anchors
+    assert chief_series(G) == oracle_chief_series(G)
+    for N in normal_subgroups(G):
+        assert chief_series(G, [N]) == oracle_chief_series(G, [N])
+    derived = G.derived_series()
+    assert chief_series(G, derived) == oracle_chief_series(G, derived)
+
+
+@pytest.mark.parametrize("entry", load_catalog(), ids=lambda entry: entry.name)
+def test_chief_series_matches_oracle_on_catalog(entry):
+    assert_chief_series_match_oracle(generate(entry.degree, entry.words))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(PAIRS))
+def test_chief_series_matches_oracle_on_products(pair):
+    assert_chief_series_match_oracle(direct_product(*(catalog_group(n) for n in pair)))
+
+
+def test_chief_series_bad_anchors_rejected(s4, d8, v4):
+    c4 = generate(4, ["(0 1 2 3)"])
+    klein = generate(4, ["(0 2)", "(1 3)"])
+    for series in (chief_series, oracle_chief_series):
+        with pytest.raises(DomainError, match="anchor is not normal"):
+            series(s4, [v4, d8])
+        with pytest.raises(DomainError, match="do not form a chain"):
+            series(d8, [c4, klein])
 
 
 def test_chief_series_nonsolvable_rejected():
