@@ -9,8 +9,8 @@ A class function is held in one exact integer form: a conductor e, an integer
 matrix with one row per class holding the value's coefficients in the power
 basis 1, z, ..., z^(phi(e)-1) of Q(zeta_e) (reduced mod Phi_e, so canonical
 for a fixed e), and a common denominator.  Inner products, products,
-restriction and the Dixon lift work on these matrices; ``Cyclotomic`` values
-are built only for display, JSON and sorting.
+restriction, the Dixon lift and the order of the table's rows work on these
+matrices; ``Cyclotomic`` values are built only for display and JSON.
 
 Integer kernels run in int64 only while an explicit bound on every entry and
 partial sum, stated at each kernel, stays below 2^63; past it the same numpy
@@ -25,7 +25,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, cyclotomic_poly, phi
+from .cyclotomic import Cyclotomic, _solve_rational, cyclotomic_poly, divisors, phi
 from .errors import InternalInconsistencyError
 from .gfq import charpoly_mod, nullspace_mod, poly_roots_mod, rref_mod
 from .groups import PermGroup, _class_matrix, is_prime, prime_divisors
@@ -94,15 +94,76 @@ def _embedding(n, m):
 
 
 @lru_cache(maxsize=None)
-def _traces(e):
-    """Tr(z^i) over Q for i < phi(e): the Ramanujan sums mu(e/g) phi(e)/phi(e/g), g = gcd(i, e)."""
+def _descent(d, e):
+    """(L, D) with _embedding(d, e) @ L == D * I: an exact left inverse L / D of the embedding.
+
+    Column j of L / D is the solution of E @ l = (unit vector j) with the free
+    unknowns 0.  When every prime of e divides d the embedding's rows are unit
+    vectors, so L is a plain column selection and D is 1.
+    """
+    E = [[Fraction(x) for x in row] for row in _embedding(d, e).tolist()]
+    f, g = len(E), len(E[0])
+    cols = [_solve_rational([row + [Fraction(int(i == j))] for i, row in enumerate(E)], g) for j in range(f)]
+    D = lcm(*(x.denominator for col in cols for x in col))
+    L = _narrow(np.array([[x.numerator * (D // x.denominator) for x in col] for col in cols], dtype=object).T)
+    L.flags.writeable = False
+    return L, D
+
+
+def _row_keys(rows):
+    """Sort key of each class function in rows, which share one conductor e.
+
+    A value's key is (n, ((num, den), ...)): its minimal conductor n and its
+    reduced coefficients over Q(zeta_n), the key ``Cyclotomic.sort_key`` gives;
+    a row's key is (key at the identity class, keys at every class).  For each
+    divisor d of e in increasing order, the values not yet placed are read
+    over Q(zeta_d) as y = x @ L / D through _descent(d, e), all at once; x lies
+    in Q(zeta_d) exactly when y embeds back to x, and then d is its conductor.
+    For d = 1 that test says the coefficients past the first are 0.
+    """
+    e = rows[0].e
+    k = rows[0].coeffs.shape[0]
+    X = np.concatenate([chi.coeffs for chi in rows])
+    top = max(chi.den for chi in rows)
+    dens = np.repeat(np.array([chi.den for chi in rows], dtype=np.int64 if top < _INT64 else object), k)
+    f, h = X.shape[1], _height(X)
+    keys = [None] * len(X)
+    todo = np.arange(len(X))
+    for d in divisors(e):
+        L, D = _descent(d, e)
+        # |partial sum| <= phi(e) * height(X) * height(L) for x @ L, phi(d) *
+        # height(R_e) times that for its embedding back, and D * height(X) for x * D
+        bound = f * h * _height(L)
+        Y, L, E = _widen(max(phi(d) * bound * _reduction_height(e), D * h), X[todo], L, _embedding(d, e))
+        num = Y @ L
+        inside = (num @ E == Y * D).all(axis=1)
+        idx, num = todo[inside], num[inside]
+        todo = todo[~inside]
+        num, den = _widen(max(bound, top * D), num, dens[idx, None])
+        den = den * D
+        g = np.gcd(num, den)
+        for i, a, b in zip(idx.tolist(), (num // g).tolist(), (den // g).tolist()):
+            keys[i] = (d, tuple(zip(a, b)))
+        if not todo.size:
+            break
+    return [(keys[r], tuple(keys[r : r + k])) for r in range(0, len(X), k)]
+
+
+@lru_cache(maxsize=None)
+def _trace_vector(e):
+    """Tr(z^i) over Q for i < phi(e): the Ramanujan sums mu(e/g) phi(e)/phi(e/g), g = gcd(i, e).
+
+    A read-only int64 array; every entry is at most phi(e) in absolute value.
+    """
     out = []
     for i in range(phi(e)):
         r = e // gcd(i, e)
         ps = prime_divisors(r)
         squarefree = all((r // p) % p for p in ps)
         out.append((-1) ** len(ps) * phi(e) // phi(r) if squarefree else 0)
-    return tuple(out)
+    t = np.array(out, dtype=np.int64)
+    t.flags.writeable = False
+    return t
 
 
 @lru_cache(maxsize=4096)
@@ -241,10 +302,14 @@ class ClassFunction:
         return np.array_equal(A, B)
 
     def __hash__(self):
-        # Tr(v) / phi(e) does not depend on the conductor v is written over
-        t, scale = _traces(self.e), self.den * phi(self.e)
-        rows = self.coeffs.tolist()
-        return hash(tuple(Fraction(sum(c * x for c, x in zip(row, t)), scale) for row in rows))
+        # Tr(v) / phi(e) does not depend on the conductor v is written over; it is
+        # hashed as a gcd-reduced (numerator, denominator) pair per class
+        f, scale = phi(self.e), self.den * phi(self.e)
+        # |partial sum| <= phi(e)^2 * height(coeffs)
+        C, t = _widen(max(f * f * _height(self.coeffs), scale), self.coeffs, _trace_vector(self.e))
+        num = C @ t
+        g = np.gcd(num, scale)
+        return hash((tuple((num // g).tolist()), tuple((scale // g).tolist())))
 
     def _combine(self, other, sign):
         e, A, B = self._common(other)
@@ -281,9 +346,6 @@ class ClassFunction:
 
     __rmul__ = __mul__
 
-    def sort_key(self):
-        return (self._value(0).sort_key(), tuple(v.sort_key() for v in self.values))
-
     def inner(self, other):
         """Standard inner product (1/|G|) sum |C| chi(g) psi(g)-bar, exact.
 
@@ -296,7 +358,7 @@ class ClassFunction:
         G = self.group
         e, A, B = self._common(other)
         f = A.shape[1]
-        sizes = np.array([c.size for c in G.conjugacy_classes()], dtype=np.int64)
+        sizes = G.class_sizes()
         bound = f * f * G.order() * _height(A) * _height(B) * _reduction_height(e)
         A, B, sizes = _widen(bound, A, B, sizes)
         M = (A * sizes[:, None]).T @ B
@@ -363,7 +425,12 @@ class ClassFunction:
 
 
 class CharacterTable:
-    """Irreducible characters of a group, rows in canonical sorted order."""
+    """Irreducible characters of a group, rows in canonical sorted order.
+
+    Rows are sorted by their values, class by class starting at the identity
+    (so by degree first).  A value is ordered by its minimal conductor n, then
+    by its coefficients over Q(zeta_n) as (numerator, denominator) pairs.
+    """
 
     __slots__ = ("group", "irr", "prime")
 
@@ -448,33 +515,40 @@ def _split_spaces(G, q):
     return [B[0] for B, _ in spaces]
 
 
+@lru_cache(maxsize=1024)
+def _dft(n, zn_inv, q):
+    """Read-only (n, n) matrix W[t, s] = zn_inv^(st) / n mod q, every entry below q."""
+    n_inv = pow(n, q - 2, q)
+    powers = np.array([pow(zn_inv, r, q) * n_inv % q for r in range(n)], dtype=np.int64)
+    st = np.arange(n)
+    W = powers[np.outer(st, st) % n]
+    W.flags.writeable = False
+    return W
+
+
 def _lift_character(G, c_mod, d, q, z, e, power_cache):
     """Exact values from mod-q values through power maps, as a coefficient matrix.
 
-    At a class of element order n, the multiplicity m_s of the eigenvalue
-    zeta_n^s is (1/n) sum_t chi(g^t) zeta_n^(-st) mod q; it is written into
-    column s*e/n of a (k, e) count matrix, and one product with the reduction
-    matrix of Phi_e turns that into the (k, phi(e)) power-basis coefficients.
+    At a class of element order n (the length of its power map), the
+    multiplicity m_s of the eigenvalue zeta_n^s is (1/n) sum_t chi(g^t)
+    zeta_n^(-st) mod q.  The classes of one element order share one product
+    with _dft(n, ...); m_s is written into column s*e/n of a (k, e) count
+    matrix, and one product with the reduction matrix of Phi_e turns that into
+    the (k, phi(e)) power-basis coefficients.
     """
-    classes = G.conjugacy_classes()
-    counts = np.zeros((len(classes), e), dtype=np.int64)
+    counts = np.zeros((len(power_cache), e), dtype=np.int64)
     c_mod = np.array(c_mod, dtype=np.int64)
-    for j, cls in enumerate(classes):
-        n = cls.rep.order()
-        if n == 1:
-            counts[j, 0] = d
-            continue
-        zn = pow(z, e // n, q)
-        zn_inv = pow(zn, q - 2, q)
-        n_inv = pow(n, q - 2, q)
-        st = np.arange(n)
-        W = np.array([pow(zn_inv, r, q) for r in range(n)], dtype=np.int64)[np.outer(st, st) % n]
+    by_order = {}
+    for j, powers in enumerate(power_cache):
+        by_order.setdefault(len(powers), []).append(j)
+    for n, js in by_order.items():
+        W = _dft(n, pow(pow(z, e // n, q), q - 2, q), q)
         # |partial sum| <= n (q - 1)^2
-        W, c = _widen(n * (q - 1) ** 2, W, c_mod[power_cache[j]])
-        m = (W @ c % q) * n_inv % q
+        W, c = _widen(n * (q - 1) ** 2, W, c_mod[np.array([power_cache[j] for j in js])])
+        m = c @ W % q
         if (m > d).any():
             raise InternalInconsistencyError("multiplicity lift out of range")
-        counts[j, st * (e // n)] = m
+        counts[np.ix_(js, np.arange(n) * (e // n))] = m
     R = _power_reduction(e)
     # |entry| <= d * height(R): the multiplicities of a row sum to d
     counts, R = _widen(d * _reduction_height(e), counts, R)
@@ -483,31 +557,28 @@ def _lift_character(G, c_mod, d, q, z, e, power_cache):
 
 def _dixon_once(G, q):
     classes = G.conjugacy_classes()
-    k = len(classes)
     index_of = G.class_index()
     e = G.exponent()
     z = _root_of_unity(e, q)
-    inv_class = [index_of[cls.rep.inverse()] for cls in classes]
+    inv_class = np.array([index_of[cls.rep.inverse()] for cls in classes])
+    size_inv = np.array([pow(c.size, q - 2, q) for c in classes], dtype=np.int64)
     power_cache = []
     for cls in classes:
-        n = cls.rep.order()
         g = cls.rep
-        pw = [0] * n
-        cur = classes[0].rep
-        for t in range(1, n):
+        pw = [0]
+        cur = g
+        while not cur.is_identity():
+            pw.append(index_of[cur])
             cur = cur * g
-            pw[t] = index_of[cur]
         power_cache.append(pw)
     rows = []
     for u in _split_spaces(G, q):
+        # GF(q) arithmetic: every product of two residues is below (q - 1)^2 < 2^63
         u = u % q
         if u[0] == 0:
             raise InternalInconsistencyError("central character vanishes at identity")
-        u = (u * pow(int(u[0]), q - 2, q)) % q
-        s = 0
-        for j in range(k):
-            s = (s + int(u[j]) * int(u[inv_class[j]]) * pow(classes[j].size, q - 2, q)) % q
-        s = s % q
+        u = u * pow(int(u[0]), q - 2, q) % q
+        s = int((u * u[inv_class] % q * size_inv % q).sum()) % q
         if s == 0:
             raise InternalInconsistencyError("degree denominator vanished")
         d2 = G.order() * pow(s, q - 2, q) % q
@@ -516,11 +587,11 @@ def _dixon_once(G, q):
             raise InternalInconsistencyError("degree square has no root mod q")
         if d > q - d:
             d = q - d
-        c_mod = [int(u[j]) * d % q * pow(classes[j].size, q - 2, q) % q for j in range(k)]
+        c_mod = (u * d % q * size_inv % q).tolist()
         coeffs = _lift_character(G, c_mod, d, q, z, e, power_cache)
         rows.append(ClassFunction._from_coeffs(G, e, coeffs))
-    rows.sort(key=lambda chi: chi.sort_key())
-    table = CharacterTable(G, rows, q)
+    keys = _row_keys(rows)
+    table = CharacterTable(G, [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)], q)
     table.verify()
     return table
 

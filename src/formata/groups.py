@@ -161,7 +161,8 @@ class PermGroup:
 
     The group's own data stays in attributes, filled lazily and idempotently:
     ``_order``, ``_elements`` and ``_element_set``, the stabilizer chain
-    ``_chain``, the conjugacy classes ``_classes`` with ``_class_index``, the
+    ``_chain``, the conjugacy classes ``_classes`` with ``_class_index`` and
+    the read-only int64 array of their sizes ``_class_sizes``, the
     normal-subgroup lattice ``_normals``, the dict ``_normal_masks`` from each
     normal subgroup's class mask to the subgroup (in the order of
     ``_normals``), and the class-product support ``_class_support`` the
@@ -186,6 +187,7 @@ class PermGroup:
         self._element_set = None
         self._classes = None
         self._class_index = None
+        self._class_sizes = None
         self._normals = None
         self._normal_masks = None
         self._class_support = None
@@ -354,6 +356,14 @@ class PermGroup:
         if self._class_index is None:
             self.conjugacy_classes()
         return self._class_index
+
+    def class_sizes(self):
+        """Sizes of the conjugacy classes in class order, as a read-only int64 array."""
+        if self._class_sizes is None:
+            sizes = np.array([c.size for c in self.conjugacy_classes()], dtype=np.int64)
+            sizes.flags.writeable = False
+            self._class_sizes = sizes
+        return self._class_sizes
 
     def class_of(self, p):
         try:

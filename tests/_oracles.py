@@ -294,6 +294,11 @@ def oracle_lift(G, c_mod, d, q, z, e, power_cache):
     return vals
 
 
+def oracle_row_key(chi):
+    """The table's row key through Cyclotomic.reduced(): degree, then each value's minimal form."""
+    return (chi.degree().sort_key(), tuple(v.sort_key() for v in chi.values))
+
+
 # -- the subgroup algebra, recomputed on element sets with no memo ------------
 
 

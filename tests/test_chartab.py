@@ -1,6 +1,8 @@
 """Character table tests against the independent sympy oracle."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from formata.cyclotomic import Cyclotomic
 from formata.errors import InternalInconsistencyError
 from formata.groups import generate, normal_subgroups, quotient
 
-from _oracles import oracle_character_table, oracle_inner, oracle_lift
+from _oracles import oracle_character_table, oracle_inner, oracle_lift, oracle_row_key
+from _products import PAIRS, direct_product
 
 
 def cyclo_to_anp(val, fld, gen, e):
@@ -283,6 +286,7 @@ def test_class_function_arithmetic_matches_cyclotomic(pair):
     assert all(same_cyclotomic(x, y * third) for x, y in zip((chi * third).values, a))
     assert (chi == psi) == (list(a) == list(b))
     assert chi == rebuilt and hash(chi) == hash(rebuilt)
+    assert characters._row_keys([chi, chi * third]) == [oracle_row_key(chi), oracle_row_key(chi * third)]
 
 
 def test_irrational_inner_matches_oracle():
@@ -363,3 +367,54 @@ def test_large_coefficients_take_the_python_int_route(monkeypatch):
     huge = ClassFunction(G, [2**70 + Cyclotomic.zeta(3)] * k)
     assert huge.coeffs.dtype == object
     assert same_cyclotomic(huge.inner(chi), oracle_inner(huge, chi))
+
+
+# -- the row key against the Cyclotomic minimal form ----------------------------
+
+
+def assert_row_order_matches_oracle(G):
+    irr = list(character_table(G).irr)
+    want = [oracle_row_key(chi) for chi in irr]
+    assert characters._row_keys(irr) == want
+    assert want == sorted(want) and len(set(want)) == len(want)
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in load_catalog()])
+def test_row_keys_match_oracle_on_catalog(name):
+    assert_row_order_matches_oracle(catalog_group(name))
+
+
+def _bench_tables():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TABLES
+
+
+@pytest.mark.parametrize("names", _bench_tables(), ids="x".join)
+def test_row_keys_match_oracle_on_bench_products(names):
+    assert_row_order_matches_oracle(direct_product(*(catalog_group(n) for n in names)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(PAIRS))
+def test_row_keys_match_oracle_on_products(pair):
+    assert_row_order_matches_oracle(direct_product(*(catalog_group(n) for n in pair)))
+
+
+def test_row_key_descends_without_a_column_selection():
+    # C3 x C4 has exponent 12; 2 does not divide 3, so reading a Q(zeta_3) value
+    # off its Q(zeta_12) coefficients takes a combination of columns
+    G = generate(7, ["(0 1 2)", "(3 4 5 6)"])
+    L, D = characters._descent(3, 12)
+    assert (L != 0).sum() > L.shape[1]
+    assert (characters._embedding(3, 12) @ L == D * np.eye(2, dtype=np.int64)).all()
+    z3, z4, z12 = Cyclotomic.zeta(3), Cyclotomic.zeta(4), Cyclotomic.zeta(12)
+    values = [z3, z3 * Fraction(-2, 5) + 1, z3.conjugate(), z4, z4 + Fraction(1, 3), z12, z12 + z3]
+    values += [Cyclotomic.rational(j) for j in range(12 - len(values))]
+    chi = ClassFunction(G, values)
+    assert chi.e == 12
+    key = characters._row_keys([chi])[0]
+    assert key == oracle_row_key(chi)
+    assert [n for n, _ in key[1][:7]] == [3, 3, 3, 4, 4, 12, 12]

@@ -32,6 +32,7 @@ def commands():
             for cmd in ("series", "headchars", "projector", "residual"):
                 out.append([cmd, name, *opt])
         out.append(["verify", "thm-c", name, "--json"])
+        out.append(["table", name])
         out.append(["table", name, "--json"])
     out.append(["verify", "counterexample-2S4"])
     out.append(["verify", "counterexample-2S4", "--json"])
