@@ -9,8 +9,10 @@ A class function is held in one exact integer form: a conductor e, an integer
 matrix with one row per class holding the value's coefficients in the power
 basis 1, z, ..., z^(phi(e)-1) of Q(zeta_e) (reduced mod Phi_e, so canonical
 for a fixed e), and a common denominator.  Inner products, products,
-restriction, the Dixon lift and the order of the table's rows work on these
-matrices; ``Cyclotomic`` values are built only for display and JSON.
+restriction, the Dixon lift and the order of the table's rows are products of
+these matrices with the cached reduction, fold, embedding and descent
+matrices of ``cyclotomic``, the same kernels ``Cyclotomic`` computes with;
+``Cyclotomic`` values are the per-value view, built on first use.
 
 Integer kernels run in int64 only while an explicit bound on every entry and
 partial sum, stated at each kernel, stays below 2^63; past it the same numpy
@@ -25,128 +27,37 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .cyclotomic import Cyclotomic, _solve_rational, cyclotomic_poly, divisors, phi
+from .cyclotomic import (
+    Cyclotomic,
+    _embed,
+    _fold,
+    _height,
+    _integer_rows,
+    _minimal_forms,
+    _multiply,
+    _narrow,
+    _reduce_powers,
+    _reduction_height,
+    _widen,
+    phi,
+)
 from .errors import InternalInconsistencyError
 from .gfq import charpoly_mod, nullspace_mod, poly_roots_mod, rref_mod
 from .groups import PermGroup, _class_matrix, is_prime, prime_divisors
 
-_INT64 = 1 << 63
-
-
-def _widen(bound, *arrays):
-    """The arrays, moved to Python ints when bound (on every entry and partial sum) reaches 2^63."""
-    if bound < _INT64:
-        return arrays
-    return tuple(a.astype(object) for a in arrays)
-
-
-def _height(a):
-    """Largest absolute entry, as a Python int."""
-    return int(np.abs(a).max()) if a.size else 0
-
-
-def _narrow(a):
-    """int64 when every entry fits, so each matrix has one dtype for its values."""
-    if a.dtype == object and _height(a) < _INT64:
-        return a.astype(np.int64)
-    return a
-
-
-@lru_cache(maxsize=None)
-def _power_reduction(e):
-    """Integer matrix R of shape (e, phi(e)): row t holds x^t mod Phi_e."""
-    g = cyclotomic_poly(e)
-    deg = len(g) - 1
-    rows = []
-    cur = [1] + [0] * (deg - 1)
-    for _ in range(e):
-        rows.append(cur)
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            cur = [c - top * gj for c, gj in zip(cur, g)]
-    R = _narrow(np.array(rows, dtype=object))
-    R.flags.writeable = False
-    return R
-
-
-@lru_cache(maxsize=None)
-def _reduction_height(e):
-    return _height(_power_reduction(e))
-
-
-@lru_cache(maxsize=None)
-def _fold(e, sign):
-    """Matrix of shape (phi^2, phi): row a*phi+b holds z^(a + sign*b) mod Phi_e."""
-    R = _power_reduction(e)
-    a = np.arange(R.shape[1])
-    F = R[(a[:, None] + sign * a[None, :]) % e].reshape(-1, R.shape[1])
-    F.flags.writeable = False
-    return F
-
-
-@lru_cache(maxsize=None)
-def _embedding(n, m):
-    """Matrix of shape (phi(n), phi(m)) taking Q(zeta_n) coefficients to Q(zeta_m); n | m."""
-    E = _power_reduction(m)[np.arange(phi(n)) * (m // n)]
-    E.flags.writeable = False
-    return E
-
-
-@lru_cache(maxsize=None)
-def _descent(d, e):
-    """(L, D) with _embedding(d, e) @ L == D * I: an exact left inverse L / D of the embedding.
-
-    Column j of L / D is the solution of E @ l = (unit vector j) with the free
-    unknowns 0.  When every prime of e divides d the embedding's rows are unit
-    vectors, so L is a plain column selection and D is 1.
-    """
-    E = [[Fraction(x) for x in row] for row in _embedding(d, e).tolist()]
-    f, g = len(E), len(E[0])
-    cols = [_solve_rational([row + [Fraction(int(i == j))] for i, row in enumerate(E)], g) for j in range(f)]
-    D = lcm(*(x.denominator for col in cols for x in col))
-    L = _narrow(np.array([[x.numerator * (D // x.denominator) for x in col] for col in cols], dtype=object).T)
-    L.flags.writeable = False
-    return L, D
-
 
 def _row_keys(rows):
-    """Sort key of each class function in rows, which share one conductor e.
+    """Sort key of each class function in rows, which share one conductor.
 
-    A value's key is (n, ((num, den), ...)): its minimal conductor n and its
-    reduced coefficients over Q(zeta_n), the key ``Cyclotomic.sort_key`` gives;
-    a row's key is (key at the identity class, keys at every class).  For each
-    divisor d of e in increasing order, the values not yet placed are read
-    over Q(zeta_d) as y = x @ L / D through _descent(d, e), all at once; x lies
-    in Q(zeta_d) exactly when y embeds back to x, and then d is its conductor.
-    For d = 1 that test says the coefficients past the first are 0.
+    A row's key is (key at the identity class, keys at every class), where a
+    value's key is its minimal form from ``cyclotomic._minimal_forms``: its
+    minimal conductor n and its reduced coefficients over Q(zeta_n), the key
+    ``Cyclotomic.sort_key`` gives.  The whole table is one matrix.
     """
-    e = rows[0].e
     k = rows[0].coeffs.shape[0]
     X = np.concatenate([chi.coeffs for chi in rows])
-    top = max(chi.den for chi in rows)
-    dens = np.repeat(np.array([chi.den for chi in rows], dtype=np.int64 if top < _INT64 else object), k)
-    f, h = X.shape[1], _height(X)
-    keys = [None] * len(X)
-    todo = np.arange(len(X))
-    for d in divisors(e):
-        L, D = _descent(d, e)
-        # |partial sum| <= phi(e) * height(X) * height(L) for x @ L, phi(d) *
-        # height(R_e) times that for its embedding back, and D * height(X) for x * D
-        bound = f * h * _height(L)
-        Y, L, E = _widen(max(phi(d) * bound * _reduction_height(e), D * h), X[todo], L, _embedding(d, e))
-        num = Y @ L
-        inside = (num @ E == Y * D).all(axis=1)
-        idx, num = todo[inside], num[inside]
-        todo = todo[~inside]
-        num, den = _widen(max(bound, top * D), num, dens[idx, None])
-        den = den * D
-        g = np.gcd(num, den)
-        for i, a, b in zip(idx.tolist(), (num // g).tolist(), (den // g).tolist()):
-            keys[i] = (d, tuple(zip(a, b)))
-        if not todo.size:
-            break
-    return [(keys[r], tuple(keys[r : r + k])) for r in range(0, len(X), k)]
+    keys = _minimal_forms(rows[0].e, X, [chi.den for chi in rows for _ in range(k)])
+    return [(keys[r], tuple(keys[r : r + k])) for r in range(0, len(keys), k)]
 
 
 @lru_cache(maxsize=None)
@@ -220,14 +131,8 @@ class ClassFunction:
         if len(vals) != len(group.conjugacy_classes()):
             raise ValueError("one value per conjugacy class required")
         e = lcm(*(v.n for v in vals))
-        den = lcm(*(c.denominator for v in vals for c in v.coeffs))
-        # a cold path: the embedding runs on Python ints, with no bound to check
-        rows = [
-            np.array([c.numerator * (den // c.denominator) for c in v.coeffs], dtype=object)
-            @ _embedding(v.n, e)
-            for v in vals
-        ]
-        self._set(group, e, np.array(rows, dtype=object), den)
+        X, den = _integer_rows(vals, e)
+        self._set(group, e, X, den)
         self._values = vals
 
     @classmethod
@@ -248,16 +153,6 @@ class ClassFunction:
         self.coeffs = coeffs
         self.den = den
         self._values = None
-
-    def _at(self, m):
-        """Coefficient matrix over Q(zeta_m), for a multiple m of e."""
-        if m == self.e:
-            return self.coeffs
-        # |entry| <= phi(e) * height(coeffs) * height(R_m)
-        C, E = _widen(
-            phi(self.e) * _height(self.coeffs) * _reduction_height(m), self.coeffs, _embedding(self.e, m)
-        )
-        return _narrow(C @ E)
 
     def _value(self, j):
         if self._values is not None:
@@ -286,7 +181,7 @@ class ClassFunction:
     def _common(self, other):
         """(conductor, self's matrix, other's matrix) over the lcm of the conductors."""
         m = lcm(self.e, other.e)
-        return m, self._at(m), other._at(m)
+        return m, _embed(self.coeffs, self.e, m), _embed(other.coeffs, other.e, m)
 
     def __eq__(self, other):
         if not isinstance(other, ClassFunction):
@@ -332,12 +227,7 @@ class ClassFunction:
     def __mul__(self, other):
         if isinstance(other, ClassFunction):
             e, A, B = self._common(other)
-            k, f = A.shape
-            F = _fold(e, 1)
-            # |entry| <= phi^2 * height(A) * height(B) * height(R_e)
-            A, B = _widen(f * f * _height(A) * _height(B) * _reduction_height(e), A, B)
-            P = (A[:, :, None] * B[:, None, :]).reshape(k, f * f) @ F
-            return ClassFunction._from_coeffs(self.group, e, P, self.den * other.den)
+            return ClassFunction._from_coeffs(self.group, e, _multiply(A, B, e), self.den * other.den)
         if isinstance(other, (int, Fraction)):
             x = Fraction(other)
             (C,) = _widen(_height(self.coeffs) * abs(x.numerator), self.coeffs)
@@ -549,10 +439,7 @@ def _lift_character(G, c_mod, d, q, z, e, power_cache):
         if (m > d).any():
             raise InternalInconsistencyError("multiplicity lift out of range")
         counts[np.ix_(js, np.arange(n) * (e // n))] = m
-    R = _power_reduction(e)
-    # |entry| <= d * height(R): the multiplicities of a row sum to d
-    counts, R = _widen(d * _reduction_height(e), counts, R)
-    return counts @ R
+    return _reduce_powers(counts, e, np.arange(e))
 
 
 def _dixon_once(G, q):

@@ -1,9 +1,18 @@
-"""Exact arithmetic in cyclotomic fields Q(zeta_n) with rational coefficients.
+"""Exact arithmetic in cyclotomic fields Q(zeta_n), on integer matrices.
 
-Elements are stored as polynomials in zeta_n reduced mod the n-th cyclotomic
-polynomial, so the stored coefficient vector (length phi(n)) is canonical for
-a fixed conductor n.  Reduction to the minimal conductor is done lazily, only
-for display, hashing and cross-conductor equality.
+A value of Q(zeta_n) is written in the power basis 1, z, ..., z^(phi(n)-1),
+reduced mod the n-th cyclotomic polynomial Phi_n, so its coefficients are
+canonical for a fixed n.  This module is the one home of that arithmetic: its
+cached integer matrices reduce powers of z, embed Q(zeta_n) in Q(zeta_m), fold
+products and read values over subfields, for ``Cyclotomic`` (one value, stored
+as phi(n) Fractions and written as an integer row over a common denominator
+for each operation) and ``characters.ClassFunction`` (one row per class).  One
+routine, ``_minimal_forms``, finds the minimal conductor that fixes display,
+hash, JSON and sort order.  Rational values (n = 1) stay in pure Python.
+
+Integer kernels run in int64 only while an explicit bound on every entry and
+partial sum, stated at each kernel, stays below 2^63; past it the same numpy
+code runs on Python ints (object dtype).
 """
 
 from __future__ import annotations
@@ -11,6 +20,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from numbers import Rational
+
+import numpy as np
+
+_INT64 = 1 << 63
 
 
 @lru_cache(maxsize=None)
@@ -43,19 +57,182 @@ def cyclotomic_poly(n):
     return tuple(f)
 
 
-def _reduce_mod_phi(coeffs, n):
-    """Remainder of a Fraction coefficient list mod Phi_n, padded to phi(n)."""
-    g = cyclotomic_poly(n)
+def _widen(bound, *arrays):
+    """The arrays, moved to Python ints when bound (on every entry and partial sum) reaches 2^63."""
+    if bound < _INT64:
+        return arrays
+    return tuple(a.astype(object) for a in arrays)
+
+
+def _height(a):
+    """Largest absolute entry, as a Python int."""
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def _narrow(a):
+    """int64 when every entry fits, so each matrix has one dtype for its values."""
+    if a.dtype == object and _height(a) < _INT64:
+        return a.astype(np.int64)
+    return a
+
+
+@lru_cache(maxsize=None)
+def _power_reduction(e):
+    """Integer matrix R of shape (e, phi(e)): row t holds x^t mod Phi_e."""
+    g = cyclotomic_poly(e)
     deg = len(g) - 1
-    r = [Fraction(c) for c in coeffs]
-    for i in range(len(r) - 1, deg - 1, -1):
-        c = r[i]
-        if c:
-            for j in range(deg + 1):
-                r[i - deg + j] -= c * g[j]
-    r = r[:deg]
-    r += [Fraction(0)] * (deg - len(r))
-    return tuple(r)
+    rows = []
+    cur = [1] + [0] * (deg - 1)
+    for _ in range(e):
+        rows.append(cur)
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [c - top * gj for c, gj in zip(cur, g)]
+    R = _narrow(np.array(rows, dtype=object))
+    R.flags.writeable = False
+    return R
+
+
+@lru_cache(maxsize=None)
+def _reduction_height(e):
+    return _height(_power_reduction(e))
+
+
+@lru_cache(maxsize=None)
+def _fold(e, sign):
+    """Matrix of shape (phi^2, phi): row a*phi+b holds z^(a + sign*b) mod Phi_e."""
+    R = _power_reduction(e)
+    a = np.arange(R.shape[1])
+    F = R[(a[:, None] + sign * a[None, :]) % e].reshape(-1, R.shape[1])
+    F.flags.writeable = False
+    return F
+
+
+@lru_cache(maxsize=None)
+def _embedding(n, m):
+    """Matrix of shape (phi(n), phi(m)) taking Q(zeta_n) coefficients to Q(zeta_m); n | m."""
+    E = _power_reduction(m)[np.arange(phi(n)) * (m // n)]
+    E.flags.writeable = False
+    return E
+
+
+@lru_cache(maxsize=None)
+def _descent(d, e):
+    """(L, D) with _embedding(d, e) @ L == D * I: an exact left inverse L / D of the embedding.
+
+    Gauss-Jordan elimination of [E | I] (E has full row rank) leaves a unit
+    column of E at one pivot per row; the identity part's row r is row
+    pivot_r of L / D, and the other rows of L are 0.  When every prime of e
+    divides d the rows of E are unit vectors, so L is a plain column selection
+    and D is 1.
+    """
+    f, g = phi(d), phi(e)
+    E = _embedding(d, e).tolist()
+    A = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(f)] for i, row in enumerate(E)]
+    pivots = []
+    for r in range(f):
+        c = next(c for c in range(g) if A[r][c])
+        pivots.append(c)
+        p = A[r][c]
+        A[r] = [x / p for x in A[r]]
+        for s in range(f):
+            t = A[s][c]
+            if s != r and t:
+                A[s] = [x - t * y for x, y in zip(A[s], A[r])]
+    D = lcm(*(x.denominator for row in A for x in row[g:]))
+    L = np.zeros((g, f), dtype=object)
+    L[pivots] = [[x.numerator * (D // x.denominator) for x in row[g:]] for row in A]
+    L = _narrow(L)
+    L.flags.writeable = False
+    return L, D
+
+
+def _minimal_forms(e, X, dens):
+    """The minimal form of each value X[i] / dens[i] over Q(zeta_e): (n, ((num, den), ...)).
+
+    n is the value's minimal conductor and the pairs are its gcd-reduced
+    coefficients over Q(zeta_n); this is the key ``Cyclotomic.sort_key``
+    gives.  For each divisor d of e in increasing order, the values not yet
+    placed are read over Q(zeta_d) as y = x @ L / D through _descent(d, e), all
+    at once; x lies in Q(zeta_d) exactly when y embeds back to x, and then d is
+    its conductor.  For d = 1 that test says the coefficients past the first
+    are 0.
+    """
+    top = max(dens)
+    dens = np.array(dens, dtype=np.int64 if top < _INT64 else object)
+    f, h = X.shape[1], _height(X)
+    keys = [None] * len(X)
+    todo = np.arange(len(X))
+    for d in divisors(e):
+        L, D = _descent(d, e)
+        # |partial sum| <= phi(e) * height(X) * height(L) for x @ L, phi(d) *
+        # height(R_e) times that for its embedding back, and D * height(X) for x * D
+        bound = f * h * _height(L)
+        Y, L, E = _widen(max(phi(d) * bound * _reduction_height(e), D * h), X[todo], L, _embedding(d, e))
+        num = Y @ L
+        inside = (num @ E == Y * D).all(axis=1)
+        idx, num = todo[inside], num[inside]
+        todo = todo[~inside]
+        num, den = _widen(max(bound, top * D), num, dens[idx, None])
+        den = den * D
+        g = np.gcd(num, den)
+        for i, a, b in zip(idx.tolist(), (num // g).tolist(), (den // g).tolist()):
+            keys[i] = (d, tuple(zip(a, b)))
+        if not todo.size:
+            break
+    return keys
+
+
+def _reduce_powers(X, n, exponents):
+    """Rows X of coefficients of z^t for t in exponents, as coefficient rows over Q(zeta_n).
+
+    z^t is row t mod n of _power_reduction(n), since Phi_n divides x^n - 1;
+    every partial sum is at most len(exponents) * height(X) * height(R_n).
+    """
+    X, R = _widen(len(exponents) * _height(X) * _reduction_height(n), X, _power_reduction(n)[exponents % n])
+    return X @ R
+
+
+def _embed(X, n, m):
+    """Coefficient rows X over Q(zeta_n) written over Q(zeta_m), for a multiple m of n."""
+    if n == m:
+        return X
+    # |partial sum| <= phi(n) * height(X) * height(R_m)
+    X, E = _widen(phi(n) * _height(X) * _reduction_height(m), X, _embedding(n, m))
+    return _narrow(X @ E)
+
+
+def _multiply(A, B, e):
+    """Row-wise products of coefficient rows A and B over Q(zeta_e).
+
+    z^a * z^b is row a*phi+b of _fold(e, 1); every partial sum is at most
+    phi(e)^2 * height(A) * height(B) * height(R_e) in absolute value.
+    """
+    k, f = A.shape
+    A, B = _widen(f * f * _height(A) * _height(B) * _reduction_height(e), A, B)
+    return (A[:, :, None] * B[:, None, :]).reshape(k, f * f) @ _fold(e, 1)
+
+
+def _scale(lists):
+    """(den, integer lists) with lists[i][j] == out[i][j] / den; den is the lcm of the denominators."""
+    den = lcm(*(c.denominator for cs in lists for c in cs))
+    return den, [[c.numerator * (den // c.denominator) for c in cs] for cs in lists]
+
+
+def _integer_rows(values, m):
+    """(X, den): row i of X / den holds the coefficients of values[i] over Q(zeta_m).
+
+    Every conductor divides m; den is the lcm of the coefficients' denominators.
+    """
+    den, nums = _scale([v.coeffs for v in values])
+    rows = [_embed(_narrow(np.array([x], dtype=object)), v.n, m) for v, x in zip(values, nums)]
+    return np.concatenate(rows), den
+
+
+def _from_row(n, row, den):
+    """The Cyclotomic with coefficients row / den over Q(zeta_n); row has phi(n) integer entries."""
+    return Cyclotomic(n, [Fraction(c, den) for c in row.tolist()])
 
 
 class Cyclotomic:
@@ -66,8 +243,17 @@ class Cyclotomic:
     def __init__(self, n, coeffs):
         if n < 1:
             raise ValueError("conductor must be positive")
+        coeffs = list(coeffs)
+        if not all(isinstance(c, Rational) for c in coeffs):
+            raise TypeError("cyclotomic coefficients must be rational numbers")
+        f = phi(n)
+        coeffs = [Fraction(c) for c in coeffs] + [Fraction(0)] * (f - len(coeffs))
+        if len(coeffs) > f:
+            den, (x,) = _scale([coeffs])
+            x = _reduce_powers(_narrow(np.array([x], dtype=object)), n, np.arange(len(x)))
+            coeffs = [Fraction(c, den) for c in x[0].tolist()]
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", _reduce_mod_phi(coeffs, n))
+        object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "_reduced", None)
 
     def __setattr__(self, name, value):
@@ -77,16 +263,11 @@ class Cyclotomic:
 
     @staticmethod
     def rational(x):
-        return Cyclotomic(1, [Fraction(x)])
+        return Cyclotomic(1, [x])
 
     @staticmethod
     def zeta(n, k=1):
-        k %= n
-        if n == 1:
-            return Cyclotomic(1, [Fraction(1)])
-        c = [Fraction(0)] * (k + 1)
-        c[k] = Fraction(1)
-        return Cyclotomic(n, c)
+        return Cyclotomic(n, [0] * (k % max(n, 1)) + [1])
 
     # -- helpers ----------------------------------------------------------
 
@@ -98,27 +279,19 @@ class Cyclotomic:
             return Cyclotomic.rational(x)
         return None
 
-    def _embed_coeffs(self, m):
-        """Coefficient list of self viewed in Q(zeta_m); requires n | m."""
-        step = m // self.n
-        out = [Fraction(0)] * m
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[i * step] += c
-        return out
-
-    def _common(self, other):
-        m = lcm(self.n, other.n)
-        return self._embed_coeffs(m), other._embed_coeffs(m), m
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b, m = self._common(other)
-        return Cyclotomic(m, [x + y for x, y in zip(a, b)])
+        if self.n == other.n:
+            return Cyclotomic(self.n, [x + y for x, y in zip(self.coeffs, other.coeffs)])
+        m = lcm(self.n, other.n)
+        X, den = _integer_rows((self, other), m)
+        # |entry| <= 2 * height(X)
+        (X,) = _widen(2 * _height(X), X)
+        return _from_row(m, X[0] + X[1], den)
 
     __radd__ = __add__
 
@@ -147,18 +320,9 @@ class Cyclotomic:
         if self.n == 1:
             k = self.coeffs[0]
             return Cyclotomic(other.n, [c * k for c in other.coeffs])
-        a, b, m = self._common(other)
-        prod = [Fraction(0)] * (2 * m)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        prod[i + j] += x * y
-        # fold exponents >= m back using zeta_m^m = 1 before Phi reduction
-        for i in range(m, 2 * m):
-            if prod[i]:
-                prod[i - m] += prod[i]
-        return Cyclotomic(m, prod[:m])
+        m = lcm(self.n, other.n)
+        X, den = _integer_rows((self, other), m)
+        return _from_row(m, _multiply(X[:1], X[1:], m)[0], den * den)
 
     __rmul__ = __mul__
 
@@ -187,13 +351,11 @@ class Cyclotomic:
 
     def galois(self, k):
         """Apply zeta_n -> zeta_n^k; k must be coprime to the conductor."""
-        if gcd(k, self.n) != 1:
+        n = self.n
+        if gcd(k, n) != 1:
             raise ValueError("galois exponent must be coprime to conductor")
-        out = [Fraction(0)] * self.n
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[(i * k) % self.n] += c
-        return Cyclotomic(self.n, out)
+        X, den = _integer_rows((self,), n)
+        return _from_row(n, _reduce_powers(X, n, np.arange(X.shape[1]) * k)[0], den)
 
     def conjugate(self):
         if self.n == 1:
@@ -226,35 +388,15 @@ class Cyclotomic:
 
     def reduced(self):
         """Equal element written over its minimal conductor (cached)."""
-        if self._reduced is not None:
-            return self._reduced
-        out = self
-        for d in divisors(self.n):
-            if d == self.n:
-                break
-            down = self._try_descend(d)
-            if down is not None:
-                out = down
-                break
-        object.__setattr__(out, "_reduced", out)
-        object.__setattr__(self, "_reduced", out)
-        return out
-
-    def _try_descend(self, d):
-        """Rewrite over Q(zeta_d) if self lies in that subfield, else None."""
-        n = self.n
-        fixers = [k for k in range(1, n) if k % d == 1 % d and gcd(k, n) == 1]
-        for k in fixers:
-            if self.galois(k).coeffs != self.coeffs:
-                return None
-        # solve for coordinates in the embedded power basis of Q(zeta_d)
-        deg = phi(d)
-        basis = [Cyclotomic.zeta(n, (n // d) * j).coeffs for j in range(deg)]
-        rows = [[basis[j][i] for j in range(deg)] + [self.coeffs[i]] for i in range(len(self.coeffs))]
-        sol = _solve_rational(rows, deg)
-        if sol is None:
-            raise ArithmeticError("subfield descent failed despite invariance")
-        return Cyclotomic(d, sol)
+        if self.n == 1:
+            return self
+        if self._reduced is None:
+            X, den = _integer_rows((self,), self.n)
+            ((d, pairs),) = _minimal_forms(self.n, X, [den])
+            out = Cyclotomic(d, [Fraction(a, b) for a, b in pairs])
+            object.__setattr__(out, "_reduced", out)
+            object.__setattr__(self, "_reduced", out)
+        return self._reduced
 
     # -- comparison, hashing, display -------------------------------------
 
@@ -264,8 +406,8 @@ class Cyclotomic:
             return NotImplemented
         if self.n == other.n:
             return self.coeffs == other.coeffs
-        a, b, m = self._common(other)
-        return _reduce_mod_phi(a, m) == _reduce_mod_phi(b, m)
+        X, _ = _integer_rows((self, other), lcm(self.n, other.n))
+        return bool((X[0] == X[1]).all())
 
     def __hash__(self):
         r = self.reduced()
@@ -308,32 +450,4 @@ class Cyclotomic:
 
     @staticmethod
     def from_json(obj):
-        return Cyclotomic(obj["conductor"], [Fraction(s) for s in obj["coeffs"]])
-
-
-def _solve_rational(rows, ncols):
-    """Solve the overdetermined augmented system exactly; None if inconsistent."""
-    rows = [list(r) for r in rows]
-    m = len(rows)
-    piv = []
-    r0 = 0
-    for c in range(ncols):
-        pr = next((r for r in range(r0, m) if rows[r][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r0], rows[pr] = rows[pr], rows[r0]
-        inv = rows[r0][c]
-        rows[r0] = [v / inv for v in rows[r0]]
-        for r in range(m):
-            if r != r0 and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[r0])]
-        piv.append(c)
-        r0 += 1
-    for r in range(r0, m):
-        if rows[r][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for r, c in enumerate(piv):
-        sol[c] = rows[r][ncols]
-    return sol
+        return Cyclotomic(obj["conductor"], [Fraction(s) if isinstance(s, str) else s for s in obj["coeffs"]])

@@ -253,26 +253,19 @@ def extension_transfer_check(G, K, L, F, theta, phi):
     chis = extensions_of(theta, G)
     irr_g = character_table(G).irr
     irr_lh = character_table(LH).irr
+    # over[a][b]: chis[a] lies over etas[b]; each list reads its first witness from it
+    over = [[not rest.inner(eta).is_zero() for eta in etas] for rest in (chi.restrict(LH) for chi in chis)]
     upward = []
+    for b, eta in enumerate(etas):
+        a = next((a for a in range(len(chis)) if over[a][b]), None)
+        witness = None if a is None else irr_g.index(chis[a])
+        upward.append({"eta": irr_lh.index(eta), "pass": a is not None, "chi": witness})
     downward = []
-    ok = True
-    for eta in etas:
-        witness = None
-        for chi in chis:
-            if not chi.restrict(LH).inner(eta).is_zero():
-                witness = irr_g.index(chi)
-                break
-        upward.append({"eta": irr_lh.index(eta), "pass": witness is not None, "chi": witness})
-        ok = ok and witness is not None
-    for chi in chis:
-        rest = chi.restrict(LH)
-        witness = None
-        for eta in etas:
-            if not rest.inner(eta).is_zero():
-                witness = irr_lh.index(eta)
-                break
-        downward.append({"chi": irr_g.index(chi), "pass": witness is not None, "eta": witness})
-        ok = ok and witness is not None
+    for a, chi in enumerate(chis):
+        b = next((b for b in range(len(etas)) if over[a][b]), None)
+        witness = None if b is None else irr_lh.index(etas[b])
+        downward.append({"chi": irr_g.index(chi), "pass": b is not None, "eta": witness})
+    ok = all(entry["pass"] for entry in upward + downward)
     if hyp["met"] and not ok:
         raise InternalInconsistencyError("extension transfer failed under the hypothesis")
     return {

@@ -4,10 +4,13 @@ Everything here recomputes results by exhaustive enumeration so the main
 implementation can be checked against frozen values derived once from these.
 """
 
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import gcd, lcm
 
 from formata.characters import character_table
-from formata.cyclotomic import Cyclotomic
+from formata.cyclotomic import Cyclotomic, cyclotomic_poly, phi
 from formata.perms import Perm
 from formata.errors import DomainError
 from formata.groups import (
@@ -260,13 +263,169 @@ def oracle_character_table(G):
     return rows, fld
 
 
+# -- Q(zeta_n) on Fraction coefficient lists ------------------------------------
+#
+# Reference routes that share nothing with the integer matrices of
+# formata.cyclotomic: polynomial division by Phi_n, a loop product, a Galois
+# scatter, and a descent tested by the Galois fixers of each subfield with its
+# own exact linear solve.  A value is a pair (n, coeffs), len(coeffs) == phi(n).
+
+
+def _reduce_mod_phi(coeffs, n):
+    """Remainder of a Fraction coefficient list mod Phi_n, padded to phi(n)."""
+    g = cyclotomic_poly(n)
+    deg = len(g) - 1
+    r = [Fraction(c) for c in coeffs]
+    for i in range(len(r) - 1, deg - 1, -1):
+        c = r[i]
+        if c:
+            for j in range(deg + 1):
+                r[i - deg + j] -= c * g[j]
+    r = r[:deg]
+    r += [Fraction(0)] * (deg - len(r))
+    return tuple(r)
+
+
+def _embed_coeffs(x, m):
+    """Coefficient list of x viewed in Q(zeta_m); requires n | m."""
+    n, coeffs = x
+    step = m // n
+    out = [Fraction(0)] * m
+    for i, c in enumerate(coeffs):
+        if c:
+            out[i * step] += c
+    return out
+
+
+def _common(x, y):
+    m = lcm(x[0], y[0])
+    return _embed_coeffs(x, m), _embed_coeffs(y, m), m
+
+
+def oracle_pair(v):
+    """A Cyclotomic as an oracle value."""
+    return (v.n, v.coeffs)
+
+
+def oracle_zeta(n, k=1):
+    return (n, _reduce_mod_phi([0] * (k % n) + [1], n))
+
+
+def oracle_scale(x, c):
+    return (x[0], tuple(a * c for a in x[1]))
+
+
+def oracle_add(x, y):
+    a, b, m = _common(x, y)
+    return (m, _reduce_mod_phi([u + v for u, v in zip(a, b)], m))
+
+
+def oracle_mul(x, y):
+    a, b, m = _common(x, y)
+    prod = [Fraction(0)] * (2 * m)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                if v:
+                    prod[i + j] += u * v
+    # fold exponents >= m back using zeta_m^m = 1 before Phi reduction
+    for i in range(m, 2 * m):
+        if prod[i]:
+            prod[i - m] += prod[i]
+    return (m, _reduce_mod_phi(prod[:m], m))
+
+
+def oracle_galois(x, k):
+    """zeta_n -> zeta_n^k, scattered one coefficient at a time."""
+    n, coeffs = x
+    out = [Fraction(0)] * n
+    for i, c in enumerate(coeffs):
+        if c:
+            out[(i * k) % n] += c
+    return (n, _reduce_mod_phi(out, n))
+
+
+def oracle_eq(x, y):
+    a, b, m = _common(x, y)
+    return _reduce_mod_phi(a, m) == _reduce_mod_phi(b, m)
+
+
+def _solve_rational(rows, ncols):
+    """Solve the overdetermined augmented system exactly; None if inconsistent."""
+    rows = [list(r) for r in rows]
+    m = len(rows)
+    piv = []
+    r0 = 0
+    for c in range(ncols):
+        pr = next((r for r in range(r0, m) if rows[r][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r0], rows[pr] = rows[pr], rows[r0]
+        inv = rows[r0][c]
+        rows[r0] = [v / inv for v in rows[r0]]
+        for r in range(m):
+            if r != r0 and rows[r][c] != 0:
+                f = rows[r][c]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[r0])]
+        piv.append(c)
+        r0 += 1
+    for r in range(r0, m):
+        if rows[r][ncols] != 0:
+            return None
+    sol = [Fraction(0)] * ncols
+    for r, c in enumerate(piv):
+        sol[c] = rows[r][ncols]
+    return sol
+
+
+def _try_descend(x, d):
+    """Rewrite x over Q(zeta_d) if it lies in that subfield, else None."""
+    n, coeffs = x
+    fixers = [k for k in range(1, n) if k % d == 1 % d and gcd(k, n) == 1]
+    for k in fixers:
+        if oracle_galois(x, k)[1] != coeffs:
+            return None
+    # solve for coordinates in the embedded power basis of Q(zeta_d)
+    deg = phi(d)
+    basis = [oracle_zeta(n, (n // d) * j)[1] for j in range(deg)]
+    rows = [[basis[j][i] for j in range(deg)] + [coeffs[i]] for i in range(len(coeffs))]
+    sol = _solve_rational(rows, deg)
+    if sol is None:
+        raise ArithmeticError("subfield descent failed despite invariance")
+    return (d, tuple(sol))
+
+
+@lru_cache(maxsize=None)
+def oracle_reduced(x):
+    """x over its minimal conductor: the least d | n whose Galois fixers fix x."""
+    n = x[0]
+    for d in range(1, n):
+        if n % d == 0:
+            down = _try_descend(x, d)
+            if down is not None:
+                return down
+    return x
+
+
+def oracle_sort_key(v):
+    """Cyclotomic.sort_key of a Cyclotomic, by the fixer descent."""
+    n, coeffs = oracle_reduced(oracle_pair(v))
+    return (n, tuple((c.numerator, c.denominator) for c in coeffs))
+
+
+def oracle_minimal(v):
+    """The Cyclotomic equal to v written over its minimal conductor, by the fixer descent."""
+    return Cyclotomic(*oracle_reduced(oracle_pair(v)))
+
+
 def oracle_inner(chi, psi):
-    """(1/|G|) sum |C| chi(g) psi(g)-bar, one Cyclotomic operation at a time."""
+    """(1/|G|) sum |C| chi(g) psi(g)-bar, one Fraction-list operation at a time."""
     classes = chi.group.conjugacy_classes()
-    acc = Cyclotomic.rational(0)
+    acc = (1, (Fraction(0),))
     for j, cls in enumerate(classes):
-        acc = acc + chi.values[j] * psi.values[j].conjugate() * cls.size
-    return acc / chi.group.order()
+        term = oracle_mul(oracle_pair(chi.values[j]), oracle_galois(oracle_pair(psi.values[j]), -1))
+        acc = oracle_add(acc, oracle_scale(term, cls.size))
+    return Cyclotomic(*oracle_scale(acc, Fraction(1, chi.group.order())))
 
 
 def oracle_lift(G, c_mod, d, q, z, e, power_cache):
@@ -281,7 +440,7 @@ def oracle_lift(G, c_mod, d, q, z, e, power_cache):
         zn_inv = pow(zn, q - 2, q)
         n_inv = pow(n, q - 2, q)
         powers = power_cache[j]
-        val = Cyclotomic.rational(0)
+        val = (1, (Fraction(0),))
         for s in range(n):
             m = 0
             for t in range(n):
@@ -289,14 +448,14 @@ def oracle_lift(G, c_mod, d, q, z, e, power_cache):
             m = m * n_inv % q
             assert m <= d, "multiplicity lift out of range"
             if m:
-                val = val + m * Cyclotomic.zeta(n, s)
-        vals.append(val)
+                val = oracle_add(val, oracle_scale(oracle_zeta(n, s), m))
+        vals.append(Cyclotomic(*val))
     return vals
 
 
 def oracle_row_key(chi):
-    """The table's row key through Cyclotomic.reduced(): degree, then each value's minimal form."""
-    return (chi.degree().sort_key(), tuple(v.sort_key() for v in chi.values))
+    """The table's row key through the fixer descent: degree, then each value's minimal form."""
+    return (oracle_sort_key(chi.degree()), tuple(oracle_sort_key(v) for v in chi.values))
 
 
 # -- the subgroup algebra, recomputed on element sets with no memo ------------

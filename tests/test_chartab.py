@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Rational
 
-from formata import characters
+from formata import characters, cyclotomic
 from formata.catalog import catalog_group, load_catalog
 from formata.characters import (
     CharacterTable,
@@ -27,7 +27,14 @@ from formata.cyclotomic import Cyclotomic
 from formata.errors import InternalInconsistencyError
 from formata.groups import generate, normal_subgroups, quotient
 
-from _oracles import oracle_character_table, oracle_inner, oracle_lift, oracle_row_key
+from _oracles import (
+    oracle_character_table,
+    oracle_inner,
+    oracle_lift,
+    oracle_minimal,
+    oracle_row_key,
+    oracle_sort_key,
+)
 from _products import PAIRS, direct_product
 
 
@@ -214,8 +221,8 @@ ORACLE_GROUPS = ("S4", "Q8", "G75", "2S4", "C7C3")
 
 
 def same_cyclotomic(a, b):
-    """Equal values with equal minimal forms, so display and JSON agree too."""
-    return a == b and a.sort_key() == b.sort_key()
+    """Equal values with equal minimal forms, so display and JSON agree too; b's by the oracle."""
+    return a == b and a.sort_key() == oracle_sort_key(b)
 
 
 @pytest.mark.parametrize("name", ORACLE_GROUPS)
@@ -394,7 +401,12 @@ def _bench_tables():
 
 @pytest.mark.parametrize("names", _bench_tables(), ids="x".join)
 def test_row_keys_match_oracle_on_bench_products(names):
-    assert_row_order_matches_oracle(direct_product(*(catalog_group(n) for n in names)))
+    G = direct_product(*(catalog_group(n) for n in names))
+    assert_row_order_matches_oracle(G)
+    for chi in character_table(G).irr:
+        for v in chi.values:
+            want = oracle_minimal(v)
+            assert (str(v), v.to_json()) == (str(want), want.to_json())
 
 
 @settings(max_examples=25, deadline=None)
@@ -407,9 +419,9 @@ def test_row_key_descends_without_a_column_selection():
     # C3 x C4 has exponent 12; 2 does not divide 3, so reading a Q(zeta_3) value
     # off its Q(zeta_12) coefficients takes a combination of columns
     G = generate(7, ["(0 1 2)", "(3 4 5 6)"])
-    L, D = characters._descent(3, 12)
+    L, D = cyclotomic._descent(3, 12)
     assert (L != 0).sum() > L.shape[1]
-    assert (characters._embedding(3, 12) @ L == D * np.eye(2, dtype=np.int64)).all()
+    assert (cyclotomic._embedding(3, 12) @ L == D * np.eye(2, dtype=np.int64)).all()
     z3, z4, z12 = Cyclotomic.zeta(3), Cyclotomic.zeta(4), Cyclotomic.zeta(12)
     values = [z3, z3 * Fraction(-2, 5) + 1, z3.conjugate(), z4, z4 + Fraction(1, 3), z12, z12 + z3]
     values += [Cyclotomic.rational(j) for j in range(12 - len(values))]

@@ -1,12 +1,25 @@
 """Cyclotomic arithmetic tests: ring axioms, Galois action, minimal forms."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formata.cyclotomic import Cyclotomic, cyclotomic_poly, phi
+from formata.characters import ClassFunction
+from formata.cyclotomic import Cyclotomic, cyclotomic_poly, divisors, phi
+
+from _oracles import (
+    _reduce_mod_phi,
+    oracle_add,
+    oracle_eq,
+    oracle_galois,
+    oracle_mul,
+    oracle_reduced,
+    oracle_scale,
+    oracle_zeta,
+)
 
 zeta = Cyclotomic.zeta
 rat = Cyclotomic.rational
@@ -87,6 +100,26 @@ def test_division():
         x / 0
 
 
+def test_non_rational_coefficients_are_refused(s3):
+    with pytest.raises(TypeError):
+        Cyclotomic.rational(0.1)
+    with pytest.raises(TypeError):
+        Cyclotomic(3, [1, 0.5])
+    with pytest.raises(TypeError):
+        Cyclotomic.from_json({"conductor": 1, "coeffs": [0.1]})
+    with pytest.raises(TypeError):
+        ClassFunction(s3, [0.1, 0, 0])
+    with pytest.raises(TypeError):
+        zeta(3) + 0.5
+
+
+def test_zeta_needs_a_positive_conductor():
+    with pytest.raises(ValueError, match="conductor must be positive"):
+        zeta(0)
+    with pytest.raises(ValueError, match="conductor must be positive"):
+        Cyclotomic(0, [1])
+
+
 small = st.integers(min_value=-4, max_value=4)
 
 
@@ -138,3 +171,79 @@ def test_galois_is_ring_map(a, b):
     for k in units:
         assert (am + bm).galois(k) == am.galois(k) + bm.galois(k)
         assert (am * bm).galois(k) == am.galois(k) * bm.galois(k)
+
+
+# -- every operation against the Fraction-list oracles ----------------------------
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+coefficients = st.one_of(
+    small_fractions,
+    # past 2^40 the integer kernels move to Python ints
+    st.integers(min_value=-(2**62), max_value=2**62).map(Fraction),
+    st.builds(Fraction, st.integers(min_value=-(2**45), max_value=2**45), st.integers(1, 6)),
+)
+
+
+@st.composite
+def oracle_cases(draw):
+    """Values over Q(zeta_N), N <= 84, and over a divisor of N, with a Galois unit of the first.
+
+    Coefficient lists run past phi(n), so the constructor reduces them; the
+    first has N + 2 small nonzero coefficients, so it reads every row of z^t
+    mod Phi_N, and the second may have coefficients past 2^40.
+    """
+    big = draw(st.sampled_from((12, 20, 21, 24, 28, 42, 84)))
+    m = draw(st.sampled_from(divisors(big)))
+    full = draw(st.lists(small_fractions.filter(bool), min_size=big + 2, max_size=big + 2))
+    sparse = draw(st.lists(st.one_of(st.just(Fraction(0)), coefficients), max_size=m + 2))
+    values = [(big, full), (m, sparse)]
+    n = values[0][0]
+    k = draw(st.sampled_from([k for k in range(1, n + 1) if gcd(k, n) == 1]))
+    return big, values, k
+
+
+def assert_matches(got, want):
+    """got equals the oracle value want in stored form, minimal form, hash, str and JSON."""
+    assert (got.n, got.coeffs) == want
+    low = Cyclotomic(*oracle_reduced(want))
+    assert (got.reduced().n, got.reduced().coeffs) == (low.n, low.coeffs)
+    assert got.sort_key() == (low.n, tuple((c.numerator, c.denominator) for c in low.coeffs))
+    assert hash(got) == (hash(low.coeffs[0]) if low.n == 1 else hash((low.n, low.coeffs)))
+    assert (str(got), got.to_json()) == (str(low), low.to_json())
+    assert got == low and hash(got) == hash(low)
+
+
+@settings(max_examples=50, deadline=None)
+@given(oracle_cases())
+def test_operations_match_fraction_oracles(case):
+    big, ((n, ac), (m, bc)), k = case
+    a, b = Cyclotomic(n, ac), Cyclotomic(m, bc)
+    A, B = (n, _reduce_mod_phi(ac, n)), (m, _reduce_mod_phi(bc, m))
+    up = b + Cyclotomic(big, [])
+    UP = oracle_add(B, (big, _reduce_mod_phi([], big)))
+    q = Fraction(-3, 7)
+    power = (1, (Fraction(1),))
+    for _ in range(3):
+        power = oracle_mul(power, B)
+    cases = [
+        (a, A),
+        (b, B),
+        (up, UP),
+        (a + b, oracle_add(A, B)),
+        (a - b, oracle_add(A, oracle_scale(B, -1))),
+        (a * b, oracle_mul(A, B)),
+        (a * up, oracle_mul(A, UP)),
+        (a / q, oracle_scale(A, 1 / q)),
+        (b**3, power),
+        (a.galois(k), oracle_galois(A, k)),
+        (b.galois(k), oracle_galois(B, k)),
+        (a.conjugate(), oracle_galois(A, -1)),
+        (zeta(big, k) * b, oracle_mul(oracle_zeta(big, k), B)),
+    ]
+    for got, want in cases:
+        assert_matches(got, want)
+    # a against b, b against itself over Q(zeta_N), that against a, a * b against a * up
+    for i, j in ((0, 1), (1, 2), (2, 0), (5, 6)):
+        (x, X), (y, Y) = cases[i], cases[j]
+        assert (x == y) == oracle_eq(X, Y)
+    assert up == b

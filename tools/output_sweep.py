@@ -10,28 +10,56 @@ For every command the sweep prints the command line, its exit code, its
 stdout and its stderr.  ``--reverse`` runs the commands in reverse order but
 prints them in the forward order, so two sweeps diff line by line; a
 difference between the two orders shows output that depends on memo state.
+
+Besides the catalog, the sweep tabulates the seven direct products of the
+``tables`` benchmark workload (``perfbench/workloads.py``, seed 1), whose
+exponents reach 84.  They are written as group files with stable names into a
+temporary working directory, which is the working directory of every command.
 """
 
 import contextlib
+import importlib.util
 import io
 import sys
+import tempfile
+from pathlib import Path
 
-from formata.catalog import catalog_names
+from formata.catalog import catalog_names, load_catalog
 from formata.cli import run_command
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 FORMATIONS = ("nilpotent", "supersolvable", "metanilpotent", "nilpotent-length:2", "p-nilpotent:2")
 
 
-def commands():
+def write_product_files():
+    """Group files of the ``tables`` workload's products in the working directory; their names."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    catalog = {e.name: (e.degree, e.words) for e in load_catalog()}
+    names = []
+    for label, (degree, words) in workloads.make_inputs("tables", 1, catalog).items():
+        with open(label + ".grp", "w", encoding="utf-8") as fh:
+            fh.write("degree %d\n%s\n" % (degree, "\n".join(words)))
+        names.append(label + ".grp")
+    return names
+
+
+def commands(products):
     out = []
     for name in catalog_names():
         for formation in FORMATIONS:
-            opt = ["--formation", formation, "--json"]
-            for check in ("counting", "thm54", "thm-b", "thm-a"):
-                out.append(["verify", check, name, *opt])
-            for cmd in ("series", "headchars", "projector", "residual"):
-                out.append([cmd, name, *opt])
+            for form in ([], ["--json"]):
+                opt = ["--formation", formation, *form]
+                for check in ("counting", "thm54", "thm-b", "thm-a"):
+                    out.append(["verify", check, name, *opt])
+                for cmd in ("series", "headchars", "projector", "residual"):
+                    out.append([cmd, name, *opt])
+        out.append(["verify", "thm-c", name])
         out.append(["verify", "thm-c", name, "--json"])
+        out.append(["table", name])
+        out.append(["table", name, "--json"])
+    for name in products:
         out.append(["table", name])
         out.append(["table", name, "--json"])
     out.append(["verify", "counterexample-2S4"])
@@ -50,9 +78,10 @@ def run(argv):
 
 
 def main():
-    cmds = commands()
-    order = range(len(cmds) - 1, -1, -1) if "--reverse" in sys.argv[1:] else range(len(cmds))
-    results = {i: run(cmds[i]) for i in order}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        cmds = commands(write_product_files())
+        order = range(len(cmds) - 1, -1, -1) if "--reverse" in sys.argv[1:] else range(len(cmds))
+        results = {i: run(cmds[i]) for i in order}
     for i in range(len(cmds)):
         sys.stdout.write(results[i])
 
