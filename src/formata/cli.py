@@ -8,9 +8,9 @@ from typing import Callable, NamedTuple
 
 from .catalog import catalog_group, catalog_names, load_catalog
 from .characters import character_table
-from .errors import CatalogIntegrityError, FormataError, InternalInconsistencyError
+from .errors import CapacityError, CatalogIntegrityError, FormataError, InternalInconsistencyError
 from .formations import Formation, projector, residual
-from .groups import PermGroup, generate, normal_subgroups, prime_divisors
+from .groups import PermGroup, generate, normal_subgroups, order_cap, prime_divisors
 from .headchars import (
     canonical_series,
     counting_report,
@@ -31,16 +31,24 @@ VERIFY_FORMATIONS = ("nilpotent", "supersolvable", "metanilpotent", "nilpotent-l
 
 
 def resolve_group(token):
-    """A catalog name (case-insensitive) or a path to a group file."""
+    """A catalog name (case-insensitive) or a path to a group file.
+
+    A group over the order cap is refused here, by its chain order, before
+    any command enumerates it.
+    """
     lowered = token.lower()
     if lowered in {n.lower() for n in catalog_names()}:
-        return catalog_group(token)
-    if os.path.isfile(token):
+        G = catalog_group(token)
+    elif os.path.isfile(token):
         degree, gens = read_group_file(token)
-        return PermGroup(degree, gens)
-    raise CatalogIntegrityError(
-        "unknown group %r: not a catalog name and not a file" % token
-    )
+        G = PermGroup(degree, gens)
+    else:
+        raise CatalogIntegrityError(
+            "unknown group %r: not a catalog name and not a file" % token
+        )
+    if G.order() > order_cap():
+        raise CapacityError(f"group order {G.order()} exceeds cap {order_cap()}")
+    return G
 
 
 def group_label(G, token):

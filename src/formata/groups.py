@@ -32,7 +32,7 @@ class StabilizerChain:
 
     Level i stores a base point, the generators of the i-th stabilizer, and a
     transversal mapping each orbit point to a coset representative that carries
-    the base point onto it.  Certifies order and membership without enumeration.
+    the base point onto it.  Certifies the order without enumeration.
     """
 
     def __init__(self, degree):
@@ -46,20 +46,6 @@ class StabilizerChain:
         for t in self.transversals:
             n *= len(t)
         return n
-
-    def sift(self, p):
-        for i, b in enumerate(self.base):
-            img = p.images[b]
-            t = self.transversals[i]
-            if img not in t:
-                return p
-            p = p * t[img].inverse()
-        return p
-
-    def contains(self, p):
-        if p.degree != self.degree:
-            return False
-        return self.sift(p).is_identity()
 
 
 def build_chain(degree, generators):
@@ -146,8 +132,12 @@ class ConjClass:
 class PermGroup:
     """Finite permutation group of fixed degree, immutable after construction.
 
-    A group built from generators is a root.  It owns a memo, one dict shared
-    with every subgroup built inside it by ``from_elements``; groups under
+    A group built from generators is a root.  Roots come only from user
+    generators (``generate``, a group file, ``PermGroup(...)``) and from
+    ``quotient``; every subgroup formata builds inside a group, from products,
+    meets, closures, preimages and images to projectors and series terms, goes
+    through ``from_elements`` and is interned under its root.  A root owns a
+    memo, one dict shared with every subgroup interned under it; groups under
     different roots share nothing, and a memo lives as long as its root.
 
     The memo is the intern table: under a frozenset of elements it holds the
@@ -198,9 +188,12 @@ class PermGroup:
     def from_elements(cls, G, elements):
         """The group with this element set, interned in the memo of G's root.
 
-        The identity is added if missing.  Generators are reduced greedily
-        from the sorted elements, so they depend on the set alone.  A set that
-        is not closed under products raises InternalInconsistencyError.
+        This is how every subgroup is built; it never makes a root, and a
+        root is not in its own memo, so the set of all of a root's elements
+        gives an interned copy of the root with reduced generators.  The
+        identity is added if missing.  Generators are reduced greedily from
+        the sorted elements, so they depend on the set alone.  A set that is
+        not closed under products raises InternalInconsistencyError.
         """
         key = frozenset(elements)
         memo = G._memo
@@ -246,9 +239,7 @@ class PermGroup:
         return self._order
 
     def contains(self, p):
-        if self._element_set is not None:
-            return p in self._element_set
-        return self.chain().contains(p)
+        return p in self.element_set()
 
     def elements(self):
         """All elements, sorted; capped by FORMATA_MAX_ORDER."""
@@ -256,16 +247,10 @@ class PermGroup:
             n = self.order()
             if n > order_cap():
                 raise CapacityError(f"group order {n} exceeds cap {order_cap()}")
-            ident = self.identity()
-            found = {ident}
-            queue = [ident]
-            while queue:
-                x = queue.pop()
-                for g in self.generators:
-                    y = x * g
-                    if y not in found:
-                        found.add(y)
-                        queue.append(y)
+            try:
+                found = closure_elements(self.degree, self.generators, cap=n + 1)
+            except CapacityError:
+                found = ()
             if len(found) != n:
                 raise InternalInconsistencyError("closure disagrees with chain order")
             self._elements = tuple(sorted(found))
@@ -285,10 +270,11 @@ class PermGroup:
         return math.lcm(*(c.representative.order() for c in self.conjugacy_classes()))
 
     def subgroup(self, gens):
+        """The subgroup generated by gens, interned under this group's root."""
         for g in gens:
             if not self.contains(g):
                 raise DomainError("subgroup generator outside the group")
-        return PermGroup(self.degree, gens)
+        return PermGroup.from_elements(self, closure_elements(self.degree, gens))
 
     def is_subgroup_of(self, other):
         return self.degree == other.degree and all(
@@ -301,10 +287,6 @@ class PermGroup:
             and self.order() == other.order()
             and self.is_subgroup_of(other)
         )
-
-    def reduced(self):
-        """Same group with a small deterministic generating sequence."""
-        return PermGroup.from_elements(self, self.element_set())
 
     def to_json(self):
         """Name (set on catalog groups), order, degree and generator cycles."""
@@ -797,11 +779,14 @@ class GroupMap:
         return self._reps[q.images[self._index[self.source.identity()]]]
 
     def image_of_subgroup(self, U):
-        return PermGroup(self.target.degree, [self.apply(u) for u in U.generators])
+        """The image of U <= source, interned under the target's root."""
+        gens = [self.apply(u) for u in U.generators]
+        return PermGroup.from_elements(self.target, closure_elements(self.target.degree, gens))
 
     def preimage_of_subgroup(self, V):
+        """The preimage of V <= target, interned under the source's root."""
         gens = list(self._kernel.generators) + [self.lift(v) for v in V.generators]
-        U = PermGroup(self.source.degree, gens)
+        U = PermGroup.from_elements(self.source, closure_elements(self.source.degree, gens))
         if U.order() != self._kernel.order() * V.order():
             raise InternalInconsistencyError("preimage order mismatch")
         return U
@@ -869,9 +854,8 @@ def complement(G, A):
     index = G.order() // A.order()
     if index == 1:
         return PermGroup.from_elements(G, [G.identity()])
-    base = G.reduced()
     aelts = sorted(A.element_set())
-    cosets = [sorted(a * g for a in aelts) for g in base.generators]
+    cosets = [sorted(a * g for a in aelts) for g in _greedy_generators(G.degree, G.elements())]
 
     def try_tuple(lifts):
         members = closure_elements(G.degree, lifts, cap=G.order() + 1)

@@ -26,19 +26,13 @@ def _trivial_subgroup(G):
 
 
 def _product(G, A, B):
-    """Subgroup product A*B inside G: G, A or B itself when it equals one of them."""
-    if A.order() == 1:
-        return B
-    if B.order() == 1:
-        return A
+    """Subgroup product A*B inside G, and G itself when it is all of G.
+
+    A and B are G or interned under G's root, so the product is G or the one
+    interned subgroup with its element set.
+    """
     got = subgroup_product(A, B)
-    if got.order() == G.order():
-        return G
-    if got.order() == A.order():
-        return A
-    if got.order() == B.order():
-        return B
-    return got
+    return G if got.order() == G.order() else got
 
 
 def _subgroup_json(U):
@@ -141,7 +135,7 @@ def _verify_canonical(cs):
                 raise InternalInconsistencyError(
                     "canonical series: K_%d is not inside L_%d" % (i, i - 1)
                 )
-            if not KH.same_group_as(_product(G, prevL, H)):
+            if KH is not _product(G, prevL, H):
                 raise InternalInconsistencyError(
                     "canonical series: K_%dH differs from L_%dH" % (i, i - 1)
                 )
@@ -522,7 +516,7 @@ def _kernel_bound(G, chars, X, Y):
         "kernel_intersection_order": meet.order(),
         "largest_normal": _subgroup_json(largest),
         "largest_normal_order": largest.order(),
-        "equal": meet.same_group_as(largest),
+        "equal": meet is largest,
         "qualifying_closed_under_join": all(N.is_subgroup_of(largest) for N in qualifying),
     }
 

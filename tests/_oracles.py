@@ -12,12 +12,14 @@ from math import gcd, lcm
 from formata.characters import character_table
 from formata.cyclotomic import Cyclotomic, cyclotomic_poly, phi
 from formata.perms import Perm
-from formata.errors import DomainError
+from formata.errors import DomainError, InternalInconsistencyError
 from formata.groups import (
     PermGroup,
     closure_elements,
+    complement,
     is_normal_in,
     is_prime,
+    minimal_normal_subgroups,
     normal_subgroups,
     prime_divisors,
     quotient,
@@ -652,3 +654,34 @@ def oracle_gallagher_family(gamma, N):
         if prod not in out:
             out.append(prod)
     return out
+
+
+# -- the projector recursion on roots of its own --------------------------------
+
+
+def _oracle_preimage(gmap, V):
+    """The preimage of V as a new root, generated by the kernel and lifts of V's generators."""
+    kernel = gmap.kernel()
+    U = PermGroup(gmap.source.degree, list(kernel.generators) + [gmap.lift(v) for v in V.generators])
+    if U.order() != kernel.order() * V.order():
+        raise InternalInconsistencyError("preimage order mismatch")
+    return U
+
+
+def oracle_projector(G, formation):
+    """The projector recursion as it ran before preimages were interned under G's root.
+
+    Each recursion step's preimage is a root of its own, with its own chain,
+    classes and lattice, so nothing is shared with G's memo.
+    """
+    if formation.is_member(G):
+        return G
+    A = minimal_normal_subgroups(G)[0]
+    Q, gmap = quotient(G, A)
+    U = _oracle_preimage(gmap, oracle_projector(Q, formation))
+    if U.order() < G.order():
+        return oracle_projector(U, formation)
+    C = complement(G, A)
+    if C is None:
+        raise InternalInconsistencyError("missing complement to an abelian residual")
+    return C

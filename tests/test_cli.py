@@ -236,6 +236,26 @@ def test_over_cap_group_file_exit_2(tmp_path):
     assert proc.stderr == "error: group order 40320 exceeds cap 5000\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table"],
+        ["projector"],
+        ["residual"],
+        ["series"],
+        ["headchars"],
+        *(["verify", check] for check in cli.CHECKS),
+    ],
+    ids=" ".join,
+)
+def test_every_command_refuses_an_over_cap_group_first(capsys, monkeypatch, tmp_path, argv):
+    path = tmp_path / "sym8.grp"
+    path.write_text("degree 8\n(0 1)\n(0 1 2 3 4 5 6 7)\n")
+    monkeypatch.setenv("FORMATA_MAX_ORDER", "5000")
+    code, out, err = run(capsys, *argv, str(path))
+    assert (code, out, err) == (2, "", "error: group order 40320 exceeds cap 5000\n")
+
+
 def test_group_file_not_utf8_exit_2(capsys, tmp_path):
     path = tmp_path / "latin1.grp"
     path.write_bytes(b"# gr\xfcppe\ndegree 4\n(0 1)\n")

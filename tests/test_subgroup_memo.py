@@ -9,6 +9,7 @@ from _oracles import (
     oracle_is_nilpotent,
     oracle_normalizer,
     oracle_product,
+    oracle_projector,
     oracle_quotient_generators,
     oracle_sylow,
 )
@@ -16,9 +17,9 @@ from _products import PAIRS, direct_product
 from formata import formations
 from formata.catalog import catalog_group, load_catalog
 from formata.characters import character_table
-from formata.cli import run_command
+from formata.cli import VERIFY_FORMATIONS, run_command
 from formata.errors import DomainError, InternalInconsistencyError
-from formata.formations import Formation, is_nilpotent, projector
+from formata.formations import Formation, is_nilpotent, projector, residual
 from formata.groups import (
     PermGroup,
     generate,
@@ -30,7 +31,13 @@ from formata.groups import (
     subgroup_product,
     sylow,
 )
-from formata.headchars import strong_series_for, theorem_54_report, unique_invariant_below
+from formata.headchars import (
+    _default_series,
+    canonical_series,
+    strong_series_for,
+    theorem_54_report,
+    unique_invariant_below,
+)
 from formata.perms import Perm, parse_cycles
 
 
@@ -82,6 +89,85 @@ def test_from_elements_rejects_an_unclosed_set():
         PermGroup.from_elements(s3, bad)
     assert frozenset(bad) not in s3._memo
     assert PermGroup.from_elements(s3, [parse_cycles("(1 2)", 3)]).order() == 2
+
+
+def interned(G, X):
+    """Whether X is G or the one group interned under G's root with X's elements."""
+    return X is G or PermGroup.from_elements(G, X.element_set()) is X
+
+
+@pytest.mark.parametrize("entry", load_catalog(), ids=lambda entry: entry.name)
+def test_series_subgroups_are_interned_on_catalog(entry):
+    G = generate(entry.degree, entry.words)
+    for F in map(Formation.parse, VERIFY_FORMATIONS):
+        cs = canonical_series(G, F)
+        built = [projector(G, F), residual(G, F)]
+        built += [U for pair in cs.pairs for U in pair]
+        built += [cs.level(i) for i in range(cs.m + 1)]
+        built += _default_series(G, F)
+        for X in built:
+            assert interned(G, X), (entry.name, str(F), X.order())
+
+
+def test_constructed_subgroups_are_interned(s4, v4):
+    c3 = s4.subgroup([parse_cycles("(0 1 2)", 4)])
+    assert c3.order() == 3 and interned(s4, c3)
+    assert s4.subgroup([]).order() == 1 and interned(s4, s4.subgroup([]))
+    with pytest.raises(DomainError):
+        v4.subgroup([parse_cycles("(0 1)", 4)])
+    Q, gmap = quotient(s4, v4)
+    image = gmap.image_of_subgroup(s4.subgroup([parse_cycles("(0 1)", 4)]))
+    assert image.order() == 2 and interned(Q, image)
+    preimage = gmap.preimage_of_subgroup(image)
+    assert preimage.order() == 8 and interned(s4, preimage)
+
+
+def test_contains_enumerates_a_fresh_root():
+    G = generate(4, ["(0 1)", "(0 1 2 3)"])
+    assert G._elements is None
+    assert G.contains(parse_cycles("(1 3)", 4))
+    assert not G.contains(parse_cycles("(1 3)", 5))
+    assert not generate(3, ["(0 1 2)"]).contains(parse_cycles("(0 1)", 3))
+
+
+@pytest.mark.parametrize("order", [12, 48])
+def test_elements_refuses_a_closure_that_disagrees_with_the_chain(order):
+    G = generate(4, ["(0 1)", "(0 1 2 3)"])
+    G._order = order
+    with pytest.raises(InternalInconsistencyError, match="chain order"):
+        G.elements()
+
+
+PROJECTOR_FORMATIONS = [
+    Formation.parse(desc)
+    for desc in (
+        "nilpotent",
+        "supersolvable",
+        "metanilpotent",
+        "nilpotent-length:2",
+        "p-nilpotent:2",
+        "p-nilpotent:3",
+        "p-groups:2",
+        "pi-groups:2,3",
+    )
+]
+
+
+def assert_projector_matches_oracle(G):
+    for F in PROJECTOR_FORMATIONS:
+        H = projector(G, F)
+        assert H.element_set() == oracle_projector(G, F).element_set(), str(F)
+        assert interned(G, H)
+
+
+@pytest.mark.parametrize("entry", load_catalog(), ids=lambda entry: entry.name)
+def test_projector_matches_root_building_oracle_on_catalog(entry):
+    assert_projector_matches_oracle(generate(entry.degree, entry.words))
+
+
+@pytest.mark.parametrize("pair", PAIRS, ids="x".join)
+def test_projector_matches_root_building_oracle_on_products(pair):
+    assert_projector_matches_oracle(direct_product(*(catalog_group(n) for n in pair)))
 
 
 def subgroups_of(G):

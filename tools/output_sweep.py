@@ -13,8 +13,10 @@ difference between the two orders shows output that depends on memo state.
 
 Besides the catalog, the sweep tabulates the seven direct products of the
 ``tables`` benchmark workload (``perfbench/workloads.py``, seed 1), whose
-exponents reach 84.  They are written as group files with stable names into a
-temporary working directory, which is the working directory of every command.
+exponents reach 84, and prints their canonical series, projector included, for
+each formation: the projector recursion runs deeper there than on the catalog.
+They are written as group files with stable names into a temporary working
+directory, which is the working directory of every command.
 """
 
 import contextlib
@@ -62,6 +64,8 @@ def commands(products):
     for name in products:
         out.append(["table", name])
         out.append(["table", name, "--json"])
+        for formation in FORMATIONS:
+            out.append(["series", name, "--formation", formation, "--json"])
     out.append(["verify", "counterexample-2S4"])
     out.append(["verify", "counterexample-2S4", "--json"])
     out.append(["verify", "all"])
