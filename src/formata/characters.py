@@ -124,7 +124,7 @@ class ClassFunction:
     same data as a tuple of ``Cyclotomic``, built on first use.
     """
 
-    __slots__ = ("group", "e", "coeffs", "den", "_values")
+    __slots__ = ("group", "e", "coeffs", "den", "_values", "_coeff_height")
 
     def __init__(self, group, values):
         vals = tuple(v if isinstance(v, Cyclotomic) else Cyclotomic.rational(v) for v in values)
@@ -153,6 +153,13 @@ class ClassFunction:
         self.coeffs = coeffs
         self.den = den
         self._values = None
+        self._coeff_height = None
+
+    def height(self):
+        """Bound on the entries of ``coeffs``: their largest, once, or for ``_rows`` the source's."""
+        if self._coeff_height is None:
+            self._coeff_height = _height(self.coeffs)
+        return self._coeff_height
 
     def _value(self, j):
         if self._values is not None:
@@ -172,16 +179,23 @@ class ClassFunction:
     def __call__(self, g):
         return self._value(self.group.class_of(g))
 
-    def _like(self, coeffs, den=None, group=None):
-        """A class function of the same conductor (and group, unless given)."""
-        return ClassFunction._from_coeffs(
-            self.group if group is None else group, self.e, coeffs, self.den if den is None else den
-        )
+    def _over(self, m):
+        """(coefficient matrix, its height) over Q(zeta_m), for a multiple m of the conductor."""
+        if m == self.e:
+            return self.coeffs, self.height()
+        X = _embed(self.coeffs, self.e, m)
+        return X, _height(X)
+
+    def _rows(self, idx, group):
+        """The class function on group whose class j has self's value at class idx[j]."""
+        out = ClassFunction._from_coeffs(group, self.e, self.coeffs[idx], self.den)
+        out._coeff_height = self.height()  # its rows are rows of self's
+        return out
 
     def _common(self, other):
-        """(conductor, self's matrix, other's matrix) over the lcm of the conductors."""
+        """(conductor, self's matrix and height, other's matrix and height) over the lcm of the conductors."""
         m = lcm(self.e, other.e)
-        return m, _embed(self.coeffs, self.e, m), _embed(other.coeffs, other.e, m)
+        return (m, *self._over(m), *other._over(m))
 
     def __eq__(self, other):
         if not isinstance(other, ClassFunction):
@@ -193,7 +207,7 @@ class ClassFunction:
                 return False
         if self.den != other.den:
             return False
-        _, A, B = self._common(other)
+        _, A, _, B, _ = self._common(other)
         return np.array_equal(A, B)
 
     def __hash__(self):
@@ -201,17 +215,17 @@ class ClassFunction:
         # hashed as a gcd-reduced (numerator, denominator) pair per class
         f, scale = phi(self.e), self.den * phi(self.e)
         # |partial sum| <= phi(e)^2 * height(coeffs)
-        C, t = _widen(max(f * f * _height(self.coeffs), scale), self.coeffs, _trace_vector(self.e))
+        C, t = _widen(max(f * f * self.height(), scale), self.coeffs, _trace_vector(self.e))
         num = C @ t
         g = np.gcd(num, scale)
         return hash((tuple((num // g).tolist()), tuple((scale // g).tolist())))
 
     def _combine(self, other, sign):
-        e, A, B = self._common(other)
+        e, A, hA, B, hB = self._common(other)
         den = lcm(self.den, other.den)
         a, b = den // self.den, sign * (den // other.den)
         # |entry| <= height(A) * |a| + height(B) * |b|
-        A, B = _widen(_height(A) * a + _height(B) * abs(b), A, B)
+        A, B = _widen(hA * a + hB * abs(b), A, B)
         return ClassFunction._from_coeffs(self.group, e, A * a + B * b, den)
 
     def __add__(self, other):
@@ -226,12 +240,12 @@ class ClassFunction:
 
     def __mul__(self, other):
         if isinstance(other, ClassFunction):
-            e, A, B = self._common(other)
-            return ClassFunction._from_coeffs(self.group, e, _multiply(A, B, e), self.den * other.den)
+            e, A, hA, B, hB = self._common(other)
+            return ClassFunction._from_coeffs(self.group, e, _multiply(A, B, e, hA * hB), self.den * other.den)
         if isinstance(other, (int, Fraction)):
             x = Fraction(other)
-            (C,) = _widen(_height(self.coeffs) * abs(x.numerator), self.coeffs)
-            return self._like(C * x.numerator, self.den * x.denominator)
+            (C,) = _widen(self.height() * abs(x.numerator), self.coeffs)
+            return ClassFunction._from_coeffs(self.group, self.e, C * x.numerator, self.den * x.denominator)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -246,10 +260,10 @@ class ClassFunction:
         phi(e)^2 * |G| * height(A) * height(B) * height(R_e) in absolute value.
         """
         G = self.group
-        e, A, B = self._common(other)
+        e, A, hA, B, hB = self._common(other)
         f = A.shape[1]
         sizes = G.class_sizes()
-        bound = f * f * G.order() * _height(A) * _height(B) * _reduction_height(e)
+        bound = f * f * G.order() * hA * hB * _reduction_height(e)
         A, B, sizes = _widen(bound, A, B, sizes)
         M = (A * sizes[:, None]).T @ B
         r = M.reshape(-1) @ _fold(e, -1)
@@ -262,7 +276,7 @@ class ClassFunction:
     def restrict(self, sub):
         """Restriction to a subgroup of the same ambient symmetric group."""
         idx = [self.group.class_of(c.rep) for c in sub.conjugacy_classes()]
-        return self._like(self.coeffs[idx], group=sub)
+        return self._rows(idx, sub)
 
     def induce(self, big):
         """Induced class function on an overgroup containing this group."""
@@ -277,14 +291,14 @@ class ClassFunction:
         scale = [Fraction(big.order(), sub.order() * c.size) for c in classes]
         den = lcm(*(x.denominator for x in scale))
         mult = np.array([[x.numerator * (den // x.denominator)] for x in scale], dtype=object)
-        return self._like(acc * mult, self.den * den, group=big)
+        return ClassFunction._from_coeffs(big, self.e, acc * mult, self.den * den)
 
     def conjugate_by(self, t):
         """The class function x -> self(t x t^-1); t must normalize the group."""
         ti = t.inverse()
         G = self.group
         idx = [G.class_of(cls.rep.conj(ti)) for cls in G.conjugacy_classes()]
-        return self._like(self.coeffs[idx])
+        return self._rows(idx, G)
 
     def is_invariant_under(self, H):
         return all(self.conjugate_by(t) == self for t in H.generators)
@@ -518,10 +532,10 @@ def inflate(chi, gmap):
     """Pull a character of the quotient back to the source group of gmap."""
     Q = gmap.target
     idx = [Q.class_of(gmap.apply(cls.rep)) for cls in gmap.source.conjugacy_classes()]
-    return chi._like(chi.coeffs[idx], group=gmap.source)
+    return chi._rows(idx, gmap.source)
 
 
 def deflate(chi, gmap):
     """Push a character with kernel containing ker(gmap) down to the quotient."""
     idx = [gmap.source.class_of(gmap.lift(cls.rep)) for cls in gmap.target.conjugacy_classes()]
-    return chi._like(chi.coeffs[idx], group=gmap.target)
+    return chi._rows(idx, gmap.target)

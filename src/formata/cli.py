@@ -9,7 +9,7 @@ from typing import Callable, NamedTuple
 from .catalog import catalog_group, catalog_names, load_catalog
 from .characters import character_table
 from .errors import CapacityError, CatalogIntegrityError, FormataError, InternalInconsistencyError
-from .formations import Formation, projector, residual
+from .formations import Formation, projector, require_solvable, residual
 from .groups import PermGroup, generate, normal_subgroups, order_cap, prime_divisors
 from .headchars import (
     canonical_series,
@@ -265,8 +265,9 @@ def _once(G, option):
 
 
 def _normals(G, words):
-    """The subgroup generated by the --normal words, or every normal subgroup."""
+    """The subgroup generated by the --normal words, or every normal subgroup of a solvable G."""
     if words is None:
+        require_solvable(G)
         return normal_subgroups(G)
     return [generate(G.degree, [w.strip() for w in words.split(";") if w.strip()])]
 

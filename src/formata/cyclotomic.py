@@ -203,14 +203,15 @@ def _embed(X, n, m):
     return _narrow(X @ E)
 
 
-def _multiply(A, B, e):
+def _multiply(A, B, e, height):
     """Row-wise products of coefficient rows A and B over Q(zeta_e).
 
-    z^a * z^b is row a*phi+b of _fold(e, 1); every partial sum is at most
-    phi(e)^2 * height(A) * height(B) * height(R_e) in absolute value.
+    height bounds height(A) * height(B).  z^a * z^b is row a*phi+b of
+    _fold(e, 1); every partial sum is at most phi(e)^2 * height * height(R_e)
+    in absolute value.
     """
     k, f = A.shape
-    A, B = _widen(f * f * _height(A) * _height(B) * _reduction_height(e), A, B)
+    A, B = _widen(f * f * height * _reduction_height(e), A, B)
     return (A[:, :, None] * B[:, None, :]).reshape(k, f * f) @ _fold(e, 1)
 
 
@@ -322,7 +323,7 @@ class Cyclotomic:
             return Cyclotomic(other.n, [c * k for c in other.coeffs])
         m = lcm(self.n, other.n)
         X, den = _integer_rows((self, other), m)
-        return _from_row(m, _multiply(X[:1], X[1:], m)[0], den * den)
+        return _from_row(m, _multiply(X[:1], X[1:], m, _height(X) ** 2)[0], den * den)
 
     __rmul__ = __mul__
 

@@ -7,7 +7,7 @@ finite solvable group and are computed by the usual minimal-normal-subgroup
 recursion with a complement step at the bottom.
 
 Membership of a quotient G/N, for N normal in G, is read off G's class-mask
-lattice (``groups.normal_subgroups``) and no quotient group is built: the
+lattice (``groups.normal_masks``) and no quotient group is built: the
 normal subgroups M >= N of G stand for the normal subgroups M/N of G/N, their
 orders give the indices, and commutator masks give lower central series.  A
 group itself is the case N = 1.  The residual is the meet, a bitwise AND, of
@@ -28,7 +28,7 @@ from .groups import (
     is_prime,
     lower_central_mask,
     minimal_normal_subgroups,
-    normal_subgroups,
+    normal_masks,
     prime_divisors,
     quotient,
     subgroup_product,
@@ -57,13 +57,11 @@ def is_supersolvable(G):
 
 def fitting_subgroup(G):
     """Largest nilpotent normal subgroup."""
-    normal_subgroups(G)
-    return G._normal_masks[_fitting_mask(G, 1)]
+    return normal_masks(G)[_fitting_mask(G, 1)]
 
 
 def nilpotent_length(G):
     """Length of the Fitting series; None when it stalls (nonsolvable)."""
-    normal_subgroups(G)
     return _fitting_length(G, 1)
 
 
@@ -77,7 +75,7 @@ def is_p_nilpotent(G, p):
 
 def _index(G, n):
     """|G:N|."""
-    return G.order() if n == 1 else G.order() // G._normal_masks[n].order()
+    return G.order() if n == 1 else G.order() // normal_masks(G)[n].order()
 
 
 def _nilpotent_over(G, m, n):
@@ -92,7 +90,7 @@ def _fitting_mask(G, n):
     with M/N nilpotent contains every other; the lattice is sorted by order,
     so it is the first one met from the top.
     """
-    return next(m for m in reversed(G._normal_masks) if m & n == n and _nilpotent_over(G, m, n))
+    return next(m for m in reversed(normal_masks(G)) if m & n == n and _nilpotent_over(G, m, n))
 
 
 def _fitting_length(G, n):
@@ -114,7 +112,7 @@ def _supersolvable_over(G, n):
     chief series from N to G decides it.
     """
     series = chief_masks(G, n, _full_mask(G))
-    masks = G._normal_masks
+    masks = normal_masks(G)
     return all(is_prime(masks[b].order() // masks[a].order()) for a, b in zip(series, series[1:]))
 
 
@@ -125,7 +123,7 @@ def _p_nilpotent_over(G, n, p):
     while index % (pa * p) == 0:
         pa *= p
     order = G.order()
-    return any(m & n == n and order // M.order() == pa for m, M in G._normal_masks.items())
+    return any(m & n == n and order // M.order() == pa for m, M in normal_masks(G).items())
 
 
 class Formation:
@@ -137,18 +135,19 @@ class Formation:
         if kind not in _KINDS:
             raise DomainError("unknown formation kind %r" % kind)
         params = tuple(params)
+        name = kind.replace("_", "-")  # the descriptor as the user writes it
         if kind in ("p_groups", "p_nilpotent"):
             if len(params) != 1 or not is_prime(params[0]):
-                raise DomainError("%s needs a single prime parameter" % kind)
+                raise DomainError("%s needs a single prime parameter" % name)
         elif kind == "pi_groups":
             if not params or not all(is_prime(p) for p in params):
-                raise DomainError("pi_groups needs a nonempty set of primes")
+                raise DomainError("%s needs a nonempty set of primes" % name)
             params = tuple(sorted(set(params)))
         elif kind == "nilpotent_length":
             if len(params) != 1 or params[0] < 1:
-                raise DomainError("nilpotent_length needs a positive bound")
+                raise DomainError("%s needs a positive bound" % name)
         elif params:
-            raise DomainError("%s takes no parameters" % kind)
+            raise DomainError("%s takes no parameters" % name)
         self.kind = kind
         self.params = params
 
@@ -157,19 +156,9 @@ class Formation:
         """Parse descriptors like 'nilpotent', 'p-groups:2', 'pi-groups:2,3'."""
         text = text.strip().lower().replace("_", "-")
         name, _, arg = text.partition(":")
-        name = name.strip()
-        table = {
-            "nilpotent": "nilpotent",
-            "supersolvable": "supersolvable",
-            "p-groups": "p_groups",
-            "pi-groups": "pi_groups",
-            "p-nilpotent": "p_nilpotent",
-            "metanilpotent": "metanilpotent",
-            "nilpotent-length": "nilpotent_length",
-        }
-        if name not in table:
+        kind = name.strip().replace("-", "_")
+        if kind not in _KINDS:
             raise DomainError("unknown formation %r" % text)
-        kind = table[name]
         if not arg:
             return Formation(kind)
         try:
@@ -214,7 +203,6 @@ class Formation:
             return True
         if self.kind in ("p_groups", "pi_groups"):
             return set(prime_divisors(index)) <= set(self.params)
-        normal_subgroups(G)
         if self.kind == "nilpotent":
             return _nilpotent_over(G, _full_mask(G), n)
         if self.kind == "supersolvable":
@@ -232,21 +220,26 @@ def residual(G, formation):
 
 
 def _residual(G, formation):
-    normal_subgroups(G)
+    lattice = normal_masks(G)
     out = _full_mask(G)
-    for m in G._normal_masks:
+    for m in lattice:
         # meeting with an overgroup of out cannot shrink it
         if out & m != out and formation.contains_quotient(G, m):
             out &= m
     if not formation.contains_quotient(G, out):
         raise InternalInconsistencyError("residual intersection left the formation")
-    return G._normal_masks[out]
+    return lattice[out]
+
+
+def require_solvable(G):
+    """Refuse a nonsolvable G, as every projector computation does."""
+    if not G.is_solvable():
+        raise UnsupportedGroupError("projectors are computed for solvable groups only")
 
 
 def projector(G, formation):
     """A formation projector, deterministic; requires a solvable group."""
-    if not G.is_solvable():
-        raise UnsupportedGroupError("projectors are computed for solvable groups only")
+    require_solvable(G)
     return G.memo(("projector", G, formation.key()), lambda: _projector_rec(G, formation))
 
 

@@ -152,11 +152,13 @@ class PermGroup:
     The group's own data stays in attributes, filled lazily and idempotently:
     ``_order``, ``_elements`` and ``_element_set``, the stabilizer chain
     ``_chain``, the conjugacy classes ``_classes`` with ``_class_index`` and
-    the read-only int64 array of their sizes ``_class_sizes``, the
-    normal-subgroup lattice ``_normals``, the dict ``_normal_masks`` from each
-    normal subgroup's class mask to the subgroup (in the order of
-    ``_normals``), and the class-product support ``_class_support`` the
-    lattice was closed under.
+    the read-only int64 array of their sizes ``_class_sizes``, and the
+    lattice filled by ``normal_subgroups``: ``_normals``, the dict
+    ``_normal_masks`` from each normal subgroup's class mask to the subgroup
+    (in the order of ``_normals``, read through ``normal_masks``), and the
+    class-product support ``_class_support`` the lattice was closed under.
+    Only a root given by generators builds a chain to certify its order; a
+    quotient's order is its number of cosets.
     """
 
     def __init__(self, degree, generators=()):
@@ -377,9 +379,7 @@ class PermGroup:
         return self.derived_series()[-1].order() == 1
 
     def center(self):
-        gens = self.generators
-        members = [x for x in self.elements() if all(x * g == g * x for g in gens)]
-        return PermGroup.from_elements(self, members)
+        return centralizer(self, self)
 
 
 def _greedy_generators(degree, elements):
@@ -396,17 +396,10 @@ def _greedy_generators(degree, elements):
         if x in span:
             continue
         gens.append(x)
-        # close the span under the enlarged generating set
-        queue = list(span)
-        span.add(x)
-        queue.append(x)
-        while queue:
-            y = queue.pop()
-            for g in gens:
-                z = y * g
-                if z not in span:
-                    span.add(z)
-                    queue.append(z)
+        try:
+            span = closure_elements(degree, gens, cap=target)
+        except CapacityError:  # more products than elements: refused below
+            break
     if len(span) != target or not span.issuperset(elements):
         raise InternalInconsistencyError("element set is not closed under products")
     return gens
@@ -484,10 +477,7 @@ def subgroup_product(A, B):
 
 def is_normal_in(N, G):
     """True when N <= G and N is closed under conjugation by G's generators."""
-    if not N.is_subgroup_of(G):
-        return False
-    nset = N.element_set()
-    return all(n.conj(g) in nset for n in N.generators for g in G.generators)
+    return N.is_subgroup_of(G) and is_invariant_under(N, G)
 
 
 def is_invariant_under(U, H):
@@ -660,14 +650,19 @@ def normal_subgroups(G):
     return G._normals
 
 
+def normal_masks(G):
+    """Dict from each normal subgroup's class mask to it, in normal_subgroups order; built on first use."""
+    if G._normal_masks is None:
+        normal_subgroups(G)
+    return G._normal_masks
+
+
 def minimal_normal_subgroups(G):
     """Nontrivial normal subgroups containing no other nontrivial one."""
-    normal_subgroups(G)
-    masks = [m for m in G._normal_masks if m != 1]
+    lattice = normal_masks(G)
+    masks = [m for m in lattice if m != 1]
     return [
-        N
-        for m, N in G._normal_masks.items()
-        if m != 1 and not any(o != m and o & m == o for o in masks)
+        N for m, N in lattice.items() if m != 1 and not any(o != m and o & m == o for o in masks)
     ]
 
 
@@ -686,8 +681,8 @@ def commutator_mask(G, a, b):
     lies in [A, B] and contains the normal closure in AB, which is [A, B].
     The normal closure is the class closure of the commutators' classes.
     """
-    normal_subgroups(G)
-    A, B = G._normal_masks[a], G._normal_masks[b]
+    lattice = normal_masks(G)
+    A, B = lattice[a], lattice[b]
     index = G.class_index()
     mask = 1
     for x in A.generators:
@@ -723,10 +718,10 @@ def chief_masks(G, lo, hi):
     inside hi.  The lattice is sorted by sort_key, so that is the least such
     normal subgroup, and no normal subgroup lies strictly between the two.
     """
-    normal_subgroups(G)
+    lattice = normal_masks(G)
     series = [lo]
     while lo != hi:
-        lo = next(m for m in G._normal_masks if m != lo and m & lo == lo and m & hi == m)
+        lo = next(m for m in lattice if m != lo and m & lo == lo and m & hi == m)
         series.append(lo)
     return series
 
@@ -735,18 +730,18 @@ def chief_series(G, through=()):
     """A chief series of G passing through the given chain of normal subgroups."""
     if not G.is_solvable():
         raise UnsupportedGroupError("chief series requires a solvable group")
-    normal_subgroups(G)
-    mask_of = {N.element_set(): m for m, N in G._normal_masks.items()}
+    lattice = normal_masks(G)
+    mask_of = {N.element_set(): m for m, N in lattice.items()}
     if any(A.element_set() not in mask_of for A in through):
         raise DomainError("chief series anchor is not normal")
     anchors = {mask_of[A.element_set()] for A in through}
-    targets = [m for m in G._normal_masks if m in anchors] + [_full_mask(G)]
+    targets = [m for m in lattice if m in anchors] + [_full_mask(G)]
     series = [1]
     for t in targets:
         if t & series[-1] != series[-1]:
             raise DomainError("chief series anchors do not form a chain")
         series += chief_masks(G, series[-1], t)[1:]
-    return [G._normal_masks[m] for m in series]
+    return [lattice[m] for m in series]
 
 
 # -- quotients ----------------------------------------------------------------
@@ -769,8 +764,7 @@ class GroupMap:
     def apply(self, x):
         if not self.source.contains(x):
             raise DomainError("element outside the map's source")
-        images = tuple(self._index[self._reps[i] * x] for i in range(len(self._reps)))
-        return Perm(images)
+        return Perm(tuple(self._index[rep * x] for rep in self._reps))
 
     def lift(self, q):
         """A coset representative mapping onto q (a section, not a morphism)."""
@@ -784,12 +778,15 @@ class GroupMap:
         return PermGroup.from_elements(self.target, closure_elements(self.target.degree, gens))
 
     def preimage_of_subgroup(self, V):
-        """The preimage of V <= target, interned under the source's root."""
-        gens = list(self._kernel.generators) + [self.lift(v) for v in V.generators]
-        U = PermGroup.from_elements(self.source, closure_elements(self.source.degree, gens))
-        if U.order() != self._kernel.order() * V.order():
-            raise InternalInconsistencyError("preimage order mismatch")
-        return U
+        """The preimage of V <= target, interned under the source's root.
+
+        It is the union of the kernel's cosets that V reaches from the kernel.
+        """
+        if not V.is_subgroup_of(self.target):
+            raise DomainError("subgroup outside the map's target")
+        start = self._index[self.source.identity()]
+        reached = {v.images[start] for v in V.elements()}
+        return PermGroup.from_elements(self.source, [g for g, i in self._index.items() if i in reached])
 
 
 def quotient(G, N):
@@ -800,26 +797,20 @@ def quotient(G, N):
 def _coset_action(G, N):
     if not is_normal_in(N, G):
         raise DomainError("quotient requires a normal subgroup")
-    nelts = sorted(N.element_set())
+    nelts = N.elements()
     index = {}
     reps = []
+    # cosets are discovered in sorted element order, so each representative
+    # is its coset's least element, the reps are sorted and the kernel is first
     for g in G.elements():
-        if g in index:
-            continue
-        coset = sorted(n * g for n in nelts)
-        rep = coset[0]
-        idx = len(reps)
-        reps.append(rep)
-        for c in coset:
-            index[c] = idx
-    # cosets are discovered in sorted element order, so rep list is sorted and
-    # the identity coset comes first
-    qgens = []
-    for g in G.generators:
-        qgens.append(Perm(tuple(index[reps[i] * g] for i in range(len(reps)))))
+        if g not in index:
+            index.update(dict.fromkeys([n * g for n in nelts], len(reps)))
+            reps.append(g)
+    qgens = [Perm(tuple(index[rep * g] for rep in reps)) for g in G.generators]
+    # G/N is regular on the cosets: Q's order is their number, and the closure checks it
     Q = PermGroup(len(reps), qgens)
-    if Q.order() * N.order() != G.order():
-        raise InternalInconsistencyError("quotient order mismatch")
+    Q._order = len(reps)
+    Q.elements()
     gmap = GroupMap(G, Q, reps, index, N, qgens)
     pairs = tuple(zip(G.generators, gmap.gen_images))
     for a, qa in pairs:
@@ -935,17 +926,15 @@ def intermediate_subgroups(G, H):
             "intermediate subgroup sweep capped at order %d" % INTERMEDIATE_MAX_ORDER
         )
     start = PermGroup.from_elements(G, closure_elements(G.degree, H.generators))
-    found = {frozenset(start.element_set()): start}
+    found = {start}
     queue = [start]
     while queue:
         U = queue.pop(0)
         for x in G.elements():
             if x in U.element_set():
                 continue
-            span = closure_elements(G.degree, list(U.generators) + [x])
-            key = frozenset(span)
-            if key not in found:
-                W = PermGroup.from_elements(G, span)
-                found[key] = W
+            W = PermGroup.from_elements(G, closure_elements(G.degree, list(U.generators) + [x]))
+            if W not in found:
+                found.add(W)
                 queue.append(W)
-    return sorted(found.values(), key=lambda U: U.sort_key())
+    return sorted(found, key=lambda U: U.sort_key())

@@ -659,7 +659,7 @@ def oracle_gallagher_family(gamma, N):
 # -- the projector recursion on roots of its own --------------------------------
 
 
-def _oracle_preimage(gmap, V):
+def oracle_preimage(gmap, V):
     """The preimage of V as a new root, generated by the kernel and lifts of V's generators."""
     kernel = gmap.kernel()
     U = PermGroup(gmap.source.degree, list(kernel.generators) + [gmap.lift(v) for v in V.generators])
@@ -678,10 +678,43 @@ def oracle_projector(G, formation):
         return G
     A = minimal_normal_subgroups(G)[0]
     Q, gmap = quotient(G, A)
-    U = _oracle_preimage(gmap, oracle_projector(Q, formation))
+    U = oracle_preimage(gmap, oracle_projector(Q, formation))
     if U.order() < G.order():
         return oracle_projector(U, formation)
     C = complement(G, A)
     if C is None:
         raise InternalInconsistencyError("missing complement to an abelian residual")
     return C
+
+
+# -- generators read off an element set ------------------------------------------
+
+
+def oracle_greedy_generators(degree, elements):
+    """Smallest-first generators of a sorted element list, each span grown by its own BFS.
+
+    The span is grown in place from the previous one: every element already
+    in it and the new generator are multiplied by all generators so far.
+    """
+    target = len(elements)
+    gens = []
+    span = {Perm.identity(degree)}
+    for x in elements:
+        if len(span) == target:
+            break
+        if x in span:
+            continue
+        gens.append(x)
+        queue = list(span)
+        span.add(x)
+        queue.append(x)
+        while queue:
+            y = queue.pop()
+            for g in gens:
+                z = y * g
+                if z not in span:
+                    span.add(z)
+                    queue.append(z)
+    if len(span) != target or not span.issuperset(elements):
+        raise InternalInconsistencyError("element set is not closed under products")
+    return gens

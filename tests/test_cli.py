@@ -14,6 +14,7 @@ from formata.catalog import load_catalog
 from formata.cli import run_command
 from formata.errors import CycleParseError
 from formata.perms import read_group_file
+from test_bench_contract import count_module_calls
 
 
 def run(capsys, *argv):
@@ -225,6 +226,34 @@ def test_nonsolvable_group_file_exit_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: canonical series needs a solvable group\n"
+
+
+@pytest.mark.parametrize("check", list(cli.CHECKS))
+def test_every_check_refuses_a_nonsolvable_group_before_its_lattice(capsys, monkeypatch, tmp_path, check):
+    # the lattice of a nonsolvable group such as A5 x C2^6 takes minutes
+    path = tmp_path / "alt5.grp"
+    path.write_text("degree 5\n(0 1 2 3 4)\n(0 1 2)\n")
+    calls = count_module_calls(monkeypatch, ("normal_subgroups",))
+    code, out, err = run(capsys, "verify", check, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert calls["normal_subgroups"] == 0
+
+
+@pytest.mark.parametrize(
+    "descriptor, message",
+    [
+        ("p-groups:4", "p-groups needs a single prime parameter"),
+        ("p-nilpotent:4", "p-nilpotent needs a single prime parameter"),
+        ("pi-groups:", "pi-groups needs a nonempty set of primes"),
+        ("pi-groups:2,4", "pi-groups needs a nonempty set of primes"),
+        ("nilpotent-length:0", "nilpotent-length needs a positive bound"),
+        ("nilpotent:3", "nilpotent takes no parameters"),
+    ],
+)
+def test_formation_errors_name_the_descriptor(capsys, descriptor, message):
+    code, out, err = run(capsys, "projector", "S4", "--formation", descriptor)
+    assert (code, out, err) == (2, "", "error: %s\n" % message)
 
 
 def test_over_cap_group_file_exit_2(tmp_path):

@@ -17,6 +17,10 @@ exponents reach 84, and prints their canonical series, projector included, for
 each formation: the projector recursion runs deeper there than on the catalog.
 They are written as group files with stable names into a temporary working
 directory, which is the working directory of every command.
+
+The sweep also runs the refusals: every command on a nonsolvable group file
+(A5) and on a trivial one (degree 3, no generators), and the formation
+commands with invalid descriptors, so their error lines are compared too.
 """
 
 import contextlib
@@ -31,10 +35,22 @@ from formata.cli import run_command
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 FORMATIONS = ("nilpotent", "supersolvable", "metanilpotent", "nilpotent-length:2", "p-nilpotent:2")
+REFUSAL_FILES = {"A5.grp": "degree 5\n(0 1 2 3 4)\n(0 1 2)\n", "trivial.grp": "degree 3\n"}
+INVALID_FORMATIONS = ("p-groups:4", "pi-groups:", "nilpotent:3", "nilpotent-length:0")
+FORMATION_COMMANDS = (
+    *(["verify", check] for check in ("counting", "thm54", "thm-b", "thm-a")),
+    ["series"], ["headchars"], ["projector"], ["residual"],
+)
 
 
-def write_product_files():
-    """Group files of the ``tables`` workload's products in the working directory; their names."""
+def write_group_files():
+    """The refusal files and the ``tables`` workload's products, in the working directory.
+
+    Returns the names of the product files.
+    """
+    for name, text in REFUSAL_FILES.items():
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(text)
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
@@ -52,11 +68,8 @@ def commands(products):
     for name in catalog_names():
         for formation in FORMATIONS:
             for form in ([], ["--json"]):
-                opt = ["--formation", formation, *form]
-                for check in ("counting", "thm54", "thm-b", "thm-a"):
-                    out.append(["verify", check, name, *opt])
-                for cmd in ("series", "headchars", "projector", "residual"):
-                    out.append([cmd, name, *opt])
+                for cmd in FORMATION_COMMANDS:
+                    out.append([*cmd, name, "--formation", formation, *form])
         out.append(["verify", "thm-c", name])
         out.append(["verify", "thm-c", name, "--json"])
         out.append(["table", name])
@@ -66,6 +79,12 @@ def commands(products):
         out.append(["table", name, "--json"])
         for formation in FORMATIONS:
             out.append(["series", name, "--formation", formation, "--json"])
+    for name in REFUSAL_FILES:
+        for cmd in (["table"], *FORMATION_COMMANDS, ["verify", "thm-c"]):
+            out.append([*cmd, name])
+    for formation in INVALID_FORMATIONS:
+        for cmd in FORMATION_COMMANDS:
+            out.append([*cmd, "S4", "--formation", formation])
     out.append(["verify", "counterexample-2S4"])
     out.append(["verify", "counterexample-2S4", "--json"])
     out.append(["verify", "all"])
@@ -83,7 +102,7 @@ def run(argv):
 
 def main():
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        cmds = commands(write_product_files())
+        cmds = commands(write_group_files())
         order = range(len(cmds) - 1, -1, -1) if "--reverse" in sys.argv[1:] else range(len(cmds))
         results = {i: run(cmds[i]) for i in order}
     for i in range(len(cmds)):
