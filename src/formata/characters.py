@@ -85,12 +85,12 @@ def _cyclotomic(e, row, den):
     return Cyclotomic(e, [Fraction(c, den) for c in row])
 
 
-def _admissible_primes(e, order):
+def _admissible_prime(e, order):
+    """The least prime q = 1 mod e with q^2 > 4 order."""
     q = e + 1
-    while True:
-        if q * q > 4 * order and is_prime(q):
-            yield q
+    while not (q * q > 4 * order and is_prime(q)):
         q += e if e > 1 else 1
+    return q
 
 
 def _root_of_unity(e, q):
@@ -498,21 +498,16 @@ def _dixon_once(G, q):
 
 
 def character_table(G):
-    """Exact character table, memoized on the group."""
-    return G.memo(("chartab", G), lambda: _dixon(G))
+    """Exact character table, memoized on the group.
 
-
-def _dixon(G):
-    e = G.exponent()
-    last = None
-    for tries, q in enumerate(_admissible_primes(e, G.order())):
-        if tries >= 8:
-            break
-        try:
-            return _dixon_once(G, q)
-        except InternalInconsistencyError as exc:
-            last = exc
-    raise InternalInconsistencyError("character table failed for all primes tried: %s" % last)
+    The first admissible prime q always works: q = 1 mod the exponent, so q
+    does not divide |G| and GF(q) splits the class algebra, and q^2 > 4|G| puts
+    every degree, and so every multiplicity, below q/2.  A failed certificate
+    is an error, not a reason to try another prime.
+    """
+    return G.memo(
+        ("chartab", G), lambda: _dixon_once(G, _admissible_prime(G.exponent(), G.order()))
+    )
 
 
 def trivial_character(G):

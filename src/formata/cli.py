@@ -1,4 +1,14 @@
-"""Command-line interface wiring tables, projectors, series, and verifiers."""
+"""Command-line interface wiring tables, projectors, series, and verifiers.
+
+Two tables define the commands.  COMMANDS has one row per command on one
+group: its help text, whether it reads --formation, and the function giving
+its JSON payload or its text lines.  CHECKS has one row per `verify` target:
+its report call, its output line, the option that picks its targets, the
+merge of its reports into one --json report, whether it reads the formation,
+and whether it runs on a given group.  The parser, the verify option checks
+and `verify all` read these rows; `verify all` is the one target that is not
+a row.
+"""
 
 import argparse
 import json
@@ -43,9 +53,7 @@ def resolve_group(token):
         degree, gens = read_group_file(token)
         G = PermGroup(degree, gens)
     else:
-        raise CatalogIntegrityError(
-            "unknown group %r: not a catalog name and not a file" % token
-        )
+        raise CatalogIntegrityError("unknown group %r: not a catalog name and not a file" % token)
     if G.order() > order_cap():
         raise CapacityError(f"group order {G.order()} exceeds cap {order_cap()}")
     return G
@@ -61,27 +69,15 @@ def build_parser():
         description="Exact character tables, formation projectors, and head character verification for solvable permutation groups.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("table", help="print the character table")
-    sp.add_argument("group", help="catalog name or group file")
-    sp.add_argument("--json", action="store_true")
-
-    for name, desc in (
-        ("projector", "print a projector for the formation"),
-        ("residual", "print the formation residual"),
-        ("series", "print the canonical series"),
-        ("headchars", "list the head characters"),
-    ):
-        sp = sub.add_parser(name, help=desc)
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp.add_argument("group", help="catalog name or group file")
-        sp.add_argument("--formation", default="nilpotent")
+        if command.formation:
+            sp.add_argument("--formation", default="nilpotent")
         sp.add_argument("--json", action="store_true")
 
     sp = sub.add_parser("verify", help="run a theorem verifier")
-    sp.add_argument(
-        "target",
-        choices=[*CHECKS, "counterexample-2S4", "all"],
-    )
+    sp.add_argument("target", choices=[*CHECKS, "all"])
     sp.add_argument("group", nargs="?", help="catalog name or group file")
     sp.add_argument("--formation", help="formation of the check (default nilpotent)")
     sp.add_argument("--normal", help="generators of a normal subgroup, separated by ';'")
@@ -90,95 +86,99 @@ def build_parser():
     return parser
 
 
-def _print_json(payload):
-    print(json.dumps(payload, indent=2))
+def _print(as_json, payload, lines):
+    print(json.dumps(payload, indent=2) if as_json else "\n".join(lines))
 
 
-def _cmd_table(args):
-    G = resolve_group(args.group)
+def _table_output(G, F, label, as_json):
     table = character_table(G)
-    if args.json:
-        _print_json(table.to_json())
-        return 0
+    if as_json:
+        return table.to_json()
     classes = G.conjugacy_classes()
-    print(
-        "group %s  order %d  degree %d  classes %d"
-        % (group_label(G, args.group), G.order(), G.degree, len(classes))
-    )
     rows = [["sizes:"] + [str(c.size) for c in classes]]
     rows.append(["orders:"] + [str(c.rep.order()) for c in classes])
     for i, chi in enumerate(table.irr):
         rows.append(["X.%d" % i] + [str(v) for v in chi.values])
     widths = [max(len(r[j]) for r in rows) for j in range(len(rows[0]))]
-    for r in rows:
-        print("  ".join(cell.rjust(w) for cell, w in zip(r, widths)))
-    return 0
+    head = "group %s  order %d  degree %d  classes %d" % (label, G.order(), G.degree, len(classes))
+    return [head] + ["  ".join(cell.rjust(w) for cell, w in zip(r, widths)) for r in rows]
 
 
-def _cmd_subgroup(args, which):
-    G = resolve_group(args.group)
-    F = Formation.parse(args.formation)
-    U = projector(G, F) if which == "projector" else residual(G, F)
-    if args.json:
-        _print_json(
-            {
-                "group": G.to_json(),
-                "formation": str(F),
-                which: {
-                    "order": U.order(),
-                    "generators": [g.cycle_string() for g in U.generators],
-                },
-            }
-        )
-        return 0
-    gens = "; ".join(g.cycle_string() for g in U.generators) or "()"
-    print(
-        "%s of %s for %s: order %d, generators %s"
-        % (which, group_label(G, args.group), F, U.order(), gens)
-    )
-    return 0
+def _subgroup_output(which, build):
+    """The output of the command that prints the subgroup build(G, F), named which."""
+
+    def output(G, F, label, as_json):
+        U = build(G, F)
+        gens = [g.cycle_string() for g in U.generators]
+        if as_json:
+            subgroup = {"order": U.order(), "generators": gens}
+            return {"group": G.to_json(), "formation": str(F), which: subgroup}
+        text = "; ".join(gens) or "()"
+        return ["%s of %s for %s: order %d, generators %s" % (which, label, F, U.order(), text)]
+
+    return output
 
 
-def _cmd_series(args):
-    G = resolve_group(args.group)
-    F = Formation.parse(args.formation)
+def _series_output(G, F, label, as_json):
     cs = canonical_series(G, F)
-    if args.json:
-        _print_json(cs.to_json())
-        return 0
-    label = group_label(G, args.group)
-    print("canonical series of %s for %s: length m=%d" % (label, F, cs.m))
-    print("projector order %d" % cs.projector.order())
-    for i, (K, L) in enumerate(cs.pairs):
-        print("K%d order %d, L%d order %d" % (i, K.order(), i, L.order()))
-    print("levels: %s" % " > ".join(str(cs.level(i).order()) for i in range(cs.m + 1)))
-    return 0
+    if as_json:
+        return cs.to_json()
+    return [
+        "canonical series of %s for %s: length m=%d" % (label, F, cs.m),
+        "projector order %d" % cs.projector.order(),
+        *(
+            "K%d order %d, L%d order %d" % (i, K.order(), i, L.order())
+            for i, (K, L) in enumerate(cs.pairs)
+        ),
+        "levels: %s" % " > ".join(str(cs.level(i).order()) for i in range(cs.m + 1)),
+    ]
 
 
-def _cmd_headchars(args):
-    G = resolve_group(args.group)
-    F = Formation.parse(args.formation)
+def _headchars_output(G, F, label, as_json):
     heads = fprime_ascending(G, F)
     irr = character_table(G).irr
     rows = [next(i for i, r in enumerate(irr) if r is h) for h in heads]
-    if args.json:
-        _print_json(
-            {
-                "group": G.to_json(),
-                "formation": str(F),
-                "count": len(heads),
-                "characters": [
-                    {"row": i, "degree": h.degree().as_int()} for i, h in zip(rows, heads)
-                ],
-            }
-        )
-        return 0
-    print(
-        "head characters of %s for %s: %d of %d irreducibles"
-        % (group_label(G, args.group), F, len(heads), len(irr))
-    )
-    for i, h in zip(rows, heads):
-        print("row %d  degree %d" % (i, h.degree().as_int()))
+    if as_json:
+        return {
+            "group": G.to_json(),
+            "formation": str(F),
+            "count": len(heads),
+            "characters": [{"row": i, "degree": h.degree().as_int()} for i, h in zip(rows, heads)],
+        }
+    return [
+        "head characters of %s for %s: %d of %d irreducibles" % (label, F, len(heads), len(irr)),
+        *("row %d  degree %d" % (i, h.degree().as_int()) for i, h in zip(rows, heads)),
+    ]
+
+
+class Command(NamedTuple):
+    """A command on one group, printing one JSON payload or lines of text."""
+
+    help: str
+    output: Callable  # (G, F, label, as_json) -> JSON payload, or the output lines
+    formation: bool = True  # whether the command reads --formation
+
+
+# The formation functions are looked up as module globals at call time.
+COMMANDS = {
+    "table": Command("print the character table", _table_output, False),
+    "projector": Command(
+        "print a projector for the formation",
+        _subgroup_output("projector", lambda G, F: projector(G, F)),
+    ),
+    "residual": Command(
+        "print the formation residual", _subgroup_output("residual", lambda G, F: residual(G, F))
+    ),
+    "series": Command("print the canonical series", _series_output),
+    "headchars": Command("list the head characters", _headchars_output),
+}
+
+
+def _run_command_on_group(command, args):
+    G = resolve_group(args.group)
+    F = Formation.parse(args.formation) if command.formation else None
+    out = command.output(G, F, group_label(G, args.group), args.json)
+    _print(args.json, out, out)
     return 0
 
 
@@ -213,41 +213,31 @@ def counterexample_report():
     )
 
 
-def _counterexample_lines():
-    rep = counterexample_report()
-    wit = rep["instances"][0]["witnesses"]
-    line = (
-        "counterexample-2S4 supersolvable: %s (theta extends %d ways, phi extends %d ways, transfers fail as asserted)"
-        % (_verdict(rep), wit["theta_extensions"], wit["phi_extensions"])
-    )
-    return [line], rep["summary"]["all_pass"], rep
-
-
 def _all_pass(reports):
     return all(rep["summary"]["all_pass"] for rep in reports)
 
 
 def _counting_line(rep, label, F, i, n):
     wit = rep["instances"][0]["witnesses"]
-    return "counting %s %s: %s (heads %d, projector abelianization %d)" % (
+    return "%s %s: %s (heads %d, projector abelianization %d)" % (
         label, F, _verdict(rep), wit["head_count"], wit["projector_abelianization"]
     )
 
 
 def _thm54_line(rep, label, F, i, n):
     summary = rep["summary"]
-    return "thm54 %s %s: %s (%d of %d irreducibles are heads)" % (
+    return "%s %s: %s (%d of %d irreducibles are heads)" % (
         label, F, _verdict(rep), summary["head_count"], summary["characters"]
     )
 
 
 def _thm_b_line(rep, label, F, i, n):
-    return "thm-b %s %s: %s (M order %d)" % (label, F, _verdict(rep), rep["summary"]["M_order"])
+    return "%s %s: %s (M order %d)" % (label, F, _verdict(rep), rep["summary"]["M_order"])
 
 
 def _thm_a_line(rep, label, F, i, n):
     summary = rep["summary"]
-    return "thm-a %s %s normal %d/%d (order %d): %s (%d/%d characters)" % (
+    return "%s %s normal %d/%d (order %d): %s (%d/%d characters)" % (
         label, F, i + 1, n, summary["normal_order"], _verdict(rep),
         summary["passed"], summary["characters"],
     )
@@ -255,8 +245,13 @@ def _thm_a_line(rep, label, F, i, n):
 
 def _thm_c_line(rep, label, F, i, n):
     prime = rep["instances"][0]["inputs"]["prime"]
-    return "thm-c %s p=%d: %s (K order %d)" % (
-        label, prime, _verdict(rep), rep["summary"]["K_order"]
+    return "%s p=%d: %s (K order %d)" % (label, prime, _verdict(rep), rep["summary"]["K_order"])
+
+
+def _counterexample_line(rep, label, F, i, n):
+    wit = rep["instances"][0]["witnesses"]
+    return "%s: %s (theta extends %d ways, phi extends %d ways, transfers fail as asserted)" % (
+        rep["formation"], _verdict(rep), wit["theta_extensions"], wit["phi_extensions"]
     )
 
 
@@ -295,18 +290,22 @@ def _merge_thm_c(G, F, primes, reports):
 
 
 class Check(NamedTuple):
-    """A verifier run on one group: one report call per target, one line each."""
+    """A verifier: one report call per target, one line each."""
 
     report: Callable  # (G, F, target) -> report
-    line: Callable  # (report, label, F, index, count) -> output line
+    line: Callable  # (report, label, F, index, count) -> output line after the check name
     option: str | None = None  # the verify option that picks the targets
     targets: Callable = _once  # (G, option value) -> targets
     merge: Callable = _single  # (G, F, targets, reports) -> the --json report
     formation: bool = True  # whether the report reads the formation
+    group: bool = True  # whether the check runs on a given group; if not, its report names its own
 
 
 # The report functions are looked up as module globals at call time, so that
 # rebinding cli.<name>_report reaches both `verify <check>` and `verify all`.
+# `verify all` runs the checks in this order: on each catalog group, the rows
+# that read a formation once per VERIFY_FORMATIONS entry, then the other group
+# rows; after the last group, the rows without a group.
 CHECKS = {
     "counting": Check(lambda G, F, _: counting_report(G, F), _counting_line),
     "thm54": Check(lambda G, F, _: theorem_54_report(G, F), _thm54_line),
@@ -317,110 +316,95 @@ CHECKS = {
     "thm-c": Check(
         lambda G, F, p: theorem_c_report(G, p), _thm_c_line, "prime", _primes, _merge_thm_c, False
     ),
+    "counterexample-2S4": Check(
+        lambda G, F, _: counterexample_report(), _counterexample_line, formation=False, group=False
+    ),
 }
 
 
 def _run_check(name, G, F, label, option=None):
-    """Run one check on G: (output lines, pass, JSON report)."""
+    """Run one check: (output lines, pass, JSON report)."""
     check = CHECKS[name]
     targets = check.targets(G, option)
     reports = [check.report(G, F, target) for target in targets]
-    lines = [check.line(rep, label, F, i, len(reports)) for i, rep in enumerate(reports)]
+    lines = [
+        "%s %s" % (name, check.line(rep, label, F, i, len(reports)))
+        for i, rep in enumerate(reports)
+    ]
     return lines, _all_pass(reports), check.merge(G, F, targets, reports)
 
 
-def _option_error(args):
-    """The usage error for a verify option the target does not read, or None."""
-    check = CHECKS.get(args.target)
-    used = set()
-    if check is not None:
-        used.add(check.option)
-        if check.formation:
-            used.add("formation")
+def _usage_error(args):
+    """The usage error of a verify command line, or None."""
+    check = CHECKS.get(args.target)  # None for all
+    used = set() if check is None else {check.option, "formation" if check.formation else None}
     for name in ("formation", "normal", "prime"):
         if getattr(args, name) is not None and name not in used:
             return "verify %s does not take --%s" % (args.target, name)
     if args.normal is not None and not any(w.strip() for w in args.normal.split(";")):
         return "--normal names no generators"
+    takes_group = check is not None and check.group
+    if args.group is not None and not takes_group:
+        return "verify %s takes no group argument" % args.target
+    if args.group is None and takes_group:
+        return "verify %s requires a group" % args.target
     return None
 
 
 def _cmd_verify(args):
-    target = args.target
-    error = _option_error(args)
+    error = _usage_error(args)
     if error is not None:
         print("error: %s" % error, file=sys.stderr)
         return 2
-    if target in ("counterexample-2S4", "all"):
-        if args.group is not None:
-            print("error: verify %s takes no group argument" % target, file=sys.stderr)
-            return 2
-    elif args.group is None:
-        print("error: verify %s requires a group" % target, file=sys.stderr)
-        return 2
-
-    if target == "all":
+    check = CHECKS.get(args.target)
+    if check is None:
         return _cmd_verify_all(args)
-    if target == "counterexample-2S4":
-        lines, ok, rep = _counterexample_lines()
-    else:
+    G = F = label = None
+    if check.group:
         G = resolve_group(args.group)
         label = group_label(G, args.group)
-        check = CHECKS[target]
-        F = None
-        if check.formation:
-            F = Formation.parse("nilpotent" if args.formation is None else args.formation)
-        option = check.option
-        lines, ok, rep = _run_check(target, G, F, label, option and getattr(args, option))
-        if not lines:  # thm-c on the trivial group
-            lines = ["%s %s: no prime divisors, nothing to verify" % (target, label)]
-
-    if args.json:
-        _print_json(rep)
-    else:
-        for line in lines:
-            print(line)
+    if check.formation:
+        F = Formation.parse("nilpotent" if args.formation is None else args.formation)
+    option = check.option and getattr(args, check.option)
+    lines, ok, rep = _run_check(args.target, G, F, label, option)
+    if not lines:  # no targets: no prime divides the order of the trivial group
+        lines = ["%s %s: no prime divisors, nothing to verify" % (args.target, label)]
+    _print(args.json, rep, lines)
     return 0 if ok else 1
 
 
 def _cmd_verify_all(args):
-    lines = []
-    runs = []
+    lines, runs = [], []
 
-    def record(check, label, formation, result):
-        check_lines, ok, _ = result
-        if check_lines:  # thm-c has nothing to run on the trivial group
+    def record(name, G, F, label):
+        check_lines, ok, rep = _run_check(name, G, F, label)
+        if check_lines:  # a check with no targets, as on the trivial group, is not a run
             lines.extend(check_lines)
-            runs.append({"check": check, "group": label, "formation": formation, "pass": ok})
+            formation = None if F is None else str(F)
+            if G is None:
+                label, formation = rep["group"]["name"], rep["formation"]
+            runs.append({"check": name, "group": label, "formation": formation, "pass": ok})
 
     formations = [Formation.parse(name) for name in VERIFY_FORMATIONS]
     for entry in load_catalog():
         G = entry.build()
-        label = entry.name
         for F in formations:
-            for check in ("counting", "thm54", "thm-b", "thm-a"):
-                record(check, label, str(F), _run_check(check, G, F, label))
-        record("thm-c", label, None, _run_check("thm-c", G, None, label))
-    record("counterexample-2S4", "2S4", "supersolvable", _counterexample_lines())
+            for name, check in CHECKS.items():
+                if check.group and check.formation:
+                    record(name, G, F, entry.name)
+        for name, check in CHECKS.items():
+            if check.group and not check.formation:
+                record(name, G, None, entry.name)
+    for name, check in CHECKS.items():
+        if not check.group:
+            record(name, None, None, None)
 
     passed = sum(1 for r in runs if r["pass"])
     ok_all = passed == len(runs)
-    summary = "verify all: %d checks, %d passed, %s" % (
-        len(runs),
-        passed,
-        "PASS" if ok_all else "FAIL",
-    )
-    if args.json:
-        _print_json(
-            {
-                "runs": runs,
-                "summary": {"checks": len(runs), "passed": passed, "all_pass": ok_all},
-            }
-        )
-    else:
-        for line in lines:
-            print(line)
-        print(summary)
+    summary = {"checks": len(runs), "passed": passed, "all_pass": ok_all}
+    verdict = "PASS" if ok_all else "FAIL"
+    lines.append("verify all: %d checks, %d passed, %s" % (len(runs), passed, verdict))
+    _print(args.json, {"runs": runs, "summary": summary}, lines)
     return 0 if ok_all else 1
 
 
@@ -431,16 +415,11 @@ def run_command(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    command = COMMANDS.get(args.command)
     try:
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command in ("projector", "residual"):
-            return _cmd_subgroup(args, args.command)
-        if args.command == "series":
-            return _cmd_series(args)
-        if args.command == "headchars":
-            return _cmd_headchars(args)
-        return _cmd_verify(args)
+        if command is None:
+            return _cmd_verify(args)
+        return _run_command_on_group(command, args)
     except InternalInconsistencyError as exc:
         print("internal inconsistency: %s" % exc, file=sys.stderr)
         return 1

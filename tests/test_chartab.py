@@ -349,6 +349,23 @@ def test_verify_rejects_a_corrupted_value():
         CharacterTable(G, rows, tab.prime).verify()
 
 
+def test_a_failed_certificate_is_not_retried_on_another_prime(monkeypatch):
+    # the first admissible prime always splits the class algebra, so a failed
+    # verify is a fault to report, not a reason to try the next prime
+    verify = CharacterTable.verify
+    failures = [InternalInconsistencyError("injected")]
+
+    def fail_once(table):
+        if failures:
+            raise failures.pop()
+        return verify(table)
+
+    monkeypatch.setattr(CharacterTable, "verify", fail_once)
+    with pytest.raises(InternalInconsistencyError, match="injected"):
+        character_table(generate(4, ["(0 1 2 3)", "(0 2)"]))
+    assert not failures
+
+
 def test_large_coefficients_take_the_python_int_route(monkeypatch):
     routes = []
     real = characters._widen

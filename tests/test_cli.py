@@ -273,7 +273,7 @@ def test_over_cap_group_file_exit_2(tmp_path):
         ["residual"],
         ["series"],
         ["headchars"],
-        *(["verify", check] for check in cli.CHECKS),
+        *(["verify", name] for name, check in cli.CHECKS.items() if check.group),
     ],
     ids=" ".join,
 )
@@ -304,6 +304,9 @@ def test_usage_errors_exit_2(capsys):
     assert run_command(["frobnicate", "S4"]) == 2
     assert run_command(["verify", "thm-b"]) == 2
     assert run_command(["verify", "counterexample-2S4", "S4"]) == 2
+    assert run_command(["verify", "all", "S4"]) == 2
+    assert run_command(["table", "S4", "--formation", "nilpotent"]) == 2
+    assert run_command(["projector", "S4", "--normal", "(0 1)"]) == 2
     capsys.readouterr()
 
 
@@ -422,3 +425,30 @@ def test_verify_all_failure_exit_1(capsys, monkeypatch, small_catalog):
     assert len(failed) == 8
     assert all(line.startswith("thm-b ") and line.endswith(": FAIL (M order 0)") for line in failed)
     assert lines[-1] == "verify all: 35 checks, 27 passed, FAIL"
+
+
+def test_one_check_row_reaches_every_verify_path(capsys, monkeypatch, small_catalog):
+    def dummy_report(G, F, _):
+        return {"summary": {"all_pass": True}}
+
+    def dummy_line(rep, label, F, i, n):
+        return "%s %s: dummy" % (label, F)
+
+    monkeypatch.setitem(cli.CHECKS, "dummy", cli.Check(dummy_report, dummy_line))
+    assert run(capsys, "verify", "dummy", "S4") == (0, "dummy S4 nilpotent: dummy\n", "")
+    code, out, err = run(capsys, "verify", "dummy", "S4", "--prime", "2")
+    assert (code, out, err) == (2, "", "error: verify dummy does not take --prime\n")
+
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line for line in lines if line.startswith("dummy ")] == [
+        "dummy %s %s: dummy" % (name, formation)
+        for name in small_catalog
+        for formation in cli.VERIFY_FORMATIONS
+    ]
+    # in table order: after thm-a, before the next formation's rows
+    at = lines.index("dummy S4 nilpotent: dummy")
+    assert lines[at - 1].startswith("thm-a S4 nilpotent ")
+    assert lines[at + 1].startswith("counting S4 supersolvable:")
+    assert lines[-1] == "verify all: 43 checks, 43 passed, PASS"

@@ -21,11 +21,15 @@ directory, which is the working directory of every command.
 The sweep also runs the refusals: every command on a nonsolvable group file
 (A5) and on a trivial one (degree 3, no generators), and the formation
 commands with invalid descriptors, so their error lines are compared too.
+It ends with the parser's own output: the top-level and every subcommand's
+``--help``, and usage errors.  ``COLUMNS`` is set to 80 so that argparse wraps
+the help text the same way on every terminal.
 """
 
 import contextlib
 import importlib.util
 import io
+import os
 import sys
 import tempfile
 from pathlib import Path
@@ -40,6 +44,17 @@ INVALID_FORMATIONS = ("p-groups:4", "pi-groups:", "nilpotent:3", "nilpotent-leng
 FORMATION_COMMANDS = (
     *(["verify", check] for check in ("counting", "thm54", "thm-b", "thm-a")),
     ["series"], ["headchars"], ["projector"], ["residual"],
+)
+SUBCOMMANDS = ("table", "projector", "residual", "series", "headchars", "verify")
+USAGE_ERRORS = (
+    [],
+    ["frobnicate", "S4"],
+    ["verify"],
+    ["verify", "thm-b"],
+    ["verify", "all", "S4"],
+    ["verify", "counterexample-2S4", "S4"],
+    ["table", "S4", "--formation", "nilpotent"],
+    ["projector", "S4", "--prime", "2"],
 )
 
 
@@ -89,6 +104,9 @@ def commands(products):
     out.append(["verify", "counterexample-2S4", "--json"])
     out.append(["verify", "all"])
     out.append(["verify", "all", "--json"])
+    out.append(["--help"])
+    out.extend([name, "--help"] for name in SUBCOMMANDS)
+    out.extend(USAGE_ERRORS)
     return out
 
 
@@ -101,6 +119,7 @@ def run(argv):
 
 
 def main():
+    os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
         cmds = commands(write_group_files())
         order = range(len(cmds) - 1, -1, -1) if "--reverse" in sys.argv[1:] else range(len(cmds))
