@@ -6,12 +6,16 @@ nilpotent length).  All of these are saturated, so projectors exist in every
 finite solvable group and are computed by the usual minimal-normal-subgroup
 recursion with a complement step at the bottom.
 
-Membership of a quotient G/N, for N normal in G, is read off G's class-mask
-lattice (``groups.normal_masks``) and no quotient group is built: the
-normal subgroups M >= N of G stand for the normal subgroups M/N of G/N, their
-orders give the indices, and commutator masks give lower central series.  A
-group itself is the case N = 1.  The residual is the meet, a bitwise AND, of
-the masks whose quotients lie in the formation.
+Membership of a quotient G/N, for N normal in G, is decided on class masks
+of G and no quotient group is built: the normal subgroups M >= N of G stand
+for the normal subgroups M/N of G/N.  Indices are sums of class sizes, and
+lower central series are closures on G's class support
+(``groups.class_support``), so p-groups, pi-groups and nilpotent membership
+and the nilpotent residual, the last term of G's lower central series, never
+enumerate the lattice of normal subgroups.  The other kinds walk that lattice
+(``groups.normal_masks``): chief series, the Fitting series, and for the
+residual the meet, a bitwise AND, of the masks whose quotients lie in the
+formation.  A group itself is the case N = 1.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 from .errors import DomainError, InternalInconsistencyError, UnsupportedGroupError
 from .groups import (
     INTERMEDIATE_MAX_ORDER,
+    _bits,
     _full_mask,
     chief_masks,
     complement,
@@ -27,6 +32,7 @@ from .groups import (
     is_normal_in,
     is_prime,
     lower_central_mask,
+    mask_subgroup,
     minimal_normal_subgroups,
     normal_masks,
     prime_divisors,
@@ -74,8 +80,9 @@ def is_p_nilpotent(G, p):
 
 
 def _index(G, n):
-    """|G:N|."""
-    return G.order() if n == 1 else G.order() // normal_masks(G)[n].order()
+    """|G:N|, with |N| the sum of its class sizes."""
+    sizes = G.class_sizes()
+    return G.order() // sum(int(sizes[i]) for i in _bits(n))
 
 
 def _nilpotent_over(G, m, n):
@@ -196,7 +203,7 @@ class Formation:
     def contains_quotient(self, G, n):
         """Whether G/N lies in the formation, for the normal N of G with class mask n.
 
-        Decided on G's normal-subgroup lattice; no quotient group is built.
+        Decided on G's class masks; no quotient group is built.
         """
         index = _index(G, n)
         if index == 1:
@@ -220,6 +227,8 @@ def residual(G, formation):
 
 
 def _residual(G, formation):
+    if formation.kind == "nilpotent":
+        return mask_subgroup(G, lower_central_mask(G, _full_mask(G)))
     lattice = normal_masks(G)
     out = _full_mask(G)
     for m in lattice:

@@ -152,11 +152,13 @@ class PermGroup:
     The group's own data stays in attributes, filled lazily and idempotently:
     ``_order``, ``_elements`` and ``_element_set``, the stabilizer chain
     ``_chain``, the conjugacy classes ``_classes`` with ``_class_index`` and
-    the read-only int64 array of their sizes ``_class_sizes``, and the
-    lattice filled by ``normal_subgroups``: ``_normals``, the dict
-    ``_normal_masks`` from each normal subgroup's class mask to the subgroup
-    (in the order of ``_normals``, read through ``normal_masks``), and the
-    class-product support ``_class_support`` the lattice was closed under.
+    the read-only int64 array of their sizes ``_class_sizes``, the
+    element lookup by base images ``_element_keys`` (see ``_element_keys``),
+    the class-product support ``_class_support`` (``class_support``), which
+    every normal-subgroup question reads, and the lattice filled by
+    ``normal_subgroups`` only where a result walks it: ``_normals`` and the
+    dict ``_normal_masks`` from each normal subgroup's class mask to the
+    subgroup (in the order of ``_normals``, read through ``normal_masks``).
     Only a root given by generators builds a chain to certify its order; a
     quotient's order is its number of cosets.
     """
@@ -183,6 +185,7 @@ class PermGroup:
         self._normals = None
         self._normal_masks = None
         self._class_support = None
+        self._element_keys = None
 
     # -- construction helpers -------------------------------------------------
 
@@ -563,25 +566,100 @@ def _int_log(n, p):
     return k if n == 1 else -1
 
 
-# -- normal subgroup lattice --------------------------------------------------
+# -- element keys and the class support --------------------------------------
+
+
+def _element_keys(G):
+    """Lookup data for G's sorted elements by their images of a base; cached on G.
+
+    Returns (steps, base_images, row_class, reps): the sorted lookup arrays of
+    _element_rows, the (|G|, base length) int32 images of the base points by
+    each element of G.elements(), the class index of each element, and the
+    (classes, degree) int32 images of the class representatives.
+
+    The base is grown over the points in ascending order, and a point is kept
+    only when it splits elements that the earlier base points leave together.
+    After each kept point p the key is dense-ranked: steps[j] is the sorted
+    array of the distinct values key * degree + x(p), and the new key is a
+    value's position in it.  So a key stays below |G|, and a step value below
+    |G| * degree, the size of the element table itself: int64 cannot overflow
+    for any group whose elements fit in memory.  Two elements are split at
+    the first point where their images differ, so the final key orders the
+    elements as their image tuples do, and it is the element's row in
+    G.elements().
+    """
+    if G._element_keys is None:
+        elts = G.elements()
+        n, degree = len(elts), G.degree
+        table = np.array([x.images for x in elts], dtype=np.int32).reshape(n, degree)
+        key = np.zeros(n, dtype=np.int64)
+        base, steps, distinct = [], [], 1
+        for p in range(degree):
+            if distinct == n:
+                break
+            value = key * degree + table[:, p]
+            ordered = np.sort(value)
+            values = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+            if len(values) > distinct:
+                base.append(p)
+                steps.append(values)
+                key = np.searchsorted(values, value)
+                distinct = len(values)
+        classes = G.conjugacy_classes()
+        index = G.class_index()
+        G._element_keys = (
+            tuple(steps),
+            table[:, base],
+            np.array([index[x] for x in elts], dtype=np.int32),
+            np.array([c.rep.images for c in classes], dtype=np.int32).reshape(len(classes), degree),
+        )
+    return G._element_keys
+
+
+def _element_rows(G, points):
+    """Rows in G.elements() of the elements with these base images, an (..., base length) array."""
+    key = np.zeros(points.shape[:-1], dtype=np.int64)
+    for j, values in enumerate(_element_keys(G)[0]):
+        value = key * G.degree + points[..., j]
+        key = np.searchsorted(values, value)
+        if not np.array_equal(values.take(key, mode="clip"), value):
+            raise InternalInconsistencyError("base images of no element of the group")
+    return key
 
 
 def _class_matrix(G, i):
     """Matrix A with A[j][t] = #{x in C_i : x^-1 * rep_t in C_j}.
 
     A[j][t] counts the ways to write rep_t as x*y with x in C_i and y in C_j,
-    so it is nonzero exactly when C_t lies in C_i*C_j.
+    so it is nonzero exactly when C_t lies in C_i*C_j.  The x^-1 run over the
+    class of inverses, and (y * z)(b) = z(y(b)), so the products' base images
+    are one gather of the representatives' images at the base images of that
+    class; _element_rows turns them into rows, and rows into classes.
     """
-    classes = G.conjugacy_classes()
-    index = G.class_index()
-    k = len(classes)
-    A = np.zeros((k, k), dtype=np.int64)
-    inv_elems = [x.inverse() for x in classes[i].elements]
-    for t in range(k):
-        z = classes[t].rep
-        for xi in inv_elems:
-            A[index[xi * z], t] += 1
-    return A
+    _, base_images, row_class, reps = _element_keys(G)
+    k = len(reps)
+    inverses = base_images[row_class == G.class_of(G.conjugacy_classes()[i].rep.inverse())]
+    js = row_class[_element_rows(G, reps[:, inverses])].astype(np.int64)  # (k, |C_i|)
+    return np.bincount((js * k + np.arange(k)[:, None]).ravel(), minlength=k * k).reshape(k, k)
+
+
+def class_support(G):
+    """The class product support of G, cached on G.
+
+    Entry (i, j) is the mask of the classes in C_i*C_j, read off the structure
+    constants of _class_matrix (one gather per class); no normal subgroup is
+    built.  Every normal-subgroup question reads it.
+    """
+    if G._class_support is None:
+        support = []
+        for i in range(len(G.conjugacy_classes())):
+            packed = np.packbits(_class_matrix(G, i) != 0, axis=1, bitorder="little")
+            support.append([int.from_bytes(row.tobytes(), "little") for row in packed])
+        G._class_support = support
+    return G._class_support
+
+
+# -- normal subgroups as class masks ------------------------------------------
 
 
 def _bits(mask):
@@ -612,39 +690,44 @@ def _close_classes(support, mask, i):
     return mask
 
 
+def mask_subgroup(G, m):
+    """The normal subgroup of G that is the union of the classes in mask m, interned under G's root."""
+    classes = G.conjugacy_classes()
+    return G.memo(
+        ("mask", G, m),
+        lambda: PermGroup.from_elements(G, [x for i in _bits(m) for x in classes[i].elements]),
+    )
+
+
 def normal_subgroups(G):
     """All normal subgroups, sorted by sort_key; cached on G.
 
     A normal subgroup is a union of conjugacy classes, held here as a bitmask
-    over class indices that contains class 0 and is closed under the class
-    product support: entry (i, j) of the support is the mask of the classes in
-    C_i*C_j, read off the structure constants of _class_matrix (k*|G| products
-    in all).  The lattice is searched breadth first from the trivial mask,
-    adding one class and closing with bit operations; each subgroup found is
-    then built once from the union of its classes.
+    over class indices that contains class 0 and is closed under
+    class_support(G).  The lattice is searched breadth first from the trivial
+    mask, adding one class and closing with bit operations; each subgroup
+    found is then built once through mask_subgroup.
+
+    The lattice can be exponentially large (C2^n has one normal subgroup per
+    subspace of F_2^n), so it is enumerated only where a result walks it:
+    chief series, the Fitting series, supersolvable and p-nilpotent
+    membership, the residuals of the formations other than the nilpotent one,
+    and the normal subgroups of Theorems A, B and C.  Minimal normal
+    subgroups, commutators, nilpotent membership and the nilpotent residual
+    are closures on the support.
     """
     if G._normals is None:
-        classes = G.conjugacy_classes()
-        k = len(classes)
-        support = [
-            [sum(1 << t for t in np.flatnonzero(row).tolist()) for row in _class_matrix(G, i)]
-            for i in range(k)
-        ]
+        support = class_support(G)
         found = {1}
         queue = [1]
         for base in queue:
-            for i in range(k):
+            for i in range(len(support)):
                 if not base >> i & 1:
                     mask = _close_classes(support, base, i)
                     if mask not in found:
                         found.add(mask)
                         queue.append(mask)
-        lattice = []
-        for mask in found:
-            elts = [x for i in _bits(mask) for x in classes[i].elements]
-            lattice.append((PermGroup.from_elements(G, elts), mask))
-        lattice.sort(key=lambda pair: pair[0].sort_key())
-        G._class_support = support
+        lattice = sorted(((mask_subgroup(G, m), m) for m in found), key=lambda pair: pair[0].sort_key())
         G._normal_masks = {mask: N for N, mask in lattice}
         G._normals = tuple(N for N, _ in lattice)
     return G._normals
@@ -658,12 +741,20 @@ def normal_masks(G):
 
 
 def minimal_normal_subgroups(G):
-    """Nontrivial normal subgroups containing no other nontrivial one."""
-    lattice = normal_masks(G)
-    masks = [m for m in lattice if m != 1]
-    return [
-        N for m, N in lattice.items() if m != 1 and not any(o != m and o & m == o for o in masks)
-    ]
+    """Nontrivial normal subgroups containing no other nontrivial one, sorted by sort_key.
+
+    A nontrivial normal subgroup contains the normal closure of each of its
+    nontrivial classes, so the minimal ones are the inclusion-minimal
+    closures of single classes.
+    """
+
+    def compute():
+        support = class_support(G)
+        closures = {_close_classes(support, 1, i) for i in range(1, len(support))}
+        minimal = [m for m in closures if not any(o != m and o & m == o for o in closures)]
+        return tuple(sorted((mask_subgroup(G, m) for m in minimal), key=PermGroup.sort_key))
+
+    return list(G.memo(("minimal_normal", G), compute))
 
 
 # -- the normal-subgroup algebra on class masks -------------------------------
@@ -681,23 +772,24 @@ def commutator_mask(G, a, b):
     lies in [A, B] and contains the normal closure in AB, which is [A, B].
     The normal closure is the class closure of the commutators' classes.
     """
-    lattice = normal_masks(G)
-    A, B = lattice[a], lattice[b]
+    support = class_support(G)
+    A, B = mask_subgroup(G, a), mask_subgroup(G, b)
     index = G.class_index()
     mask = 1
     for x in A.generators:
         for y in B.generators:
             i = index[x.commutator(y)]
             if not mask >> i & 1:
-                mask = _close_classes(G._class_support, mask, i)
+                mask = _close_classes(support, mask, i)
     return mask
 
 
 def lower_central_mask(G, m):
     """Class mask of the last term of the lower central series of the normal M with mask m.
 
-    Each term [gamma_i(M), M] is again normal in G, so the series stays in
-    G's lattice; M is nilpotent iff its last term is trivial (mask 1).
+    Each term [gamma_i(M), M] is again normal in G, so every term is a
+    closure on G's class support; M is nilpotent iff its last term is trivial
+    (mask 1).
     """
 
     def compute():

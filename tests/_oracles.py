@@ -9,6 +9,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import gcd, lcm
 
+import numpy as np
+
 from formata.characters import character_table
 from formata.cyclotomic import Cyclotomic, cyclotomic_poly, phi
 from formata.perms import Perm
@@ -131,6 +133,24 @@ def oracle_normal_subgroups(G):
                 found[new_key] = N
                 queue.append(new_key)
     return tuple(sorted(found.values(), key=lambda N: N.sort_key()))
+
+
+def oracle_class_matrix(G, i):
+    """Matrix A with A[j][t] = #{x in C_i : x^-1 * rep_t in C_j}, by Perm products.
+
+    The k*|G| Python products that the base-image gathers of
+    groups._class_matrix replaced.
+    """
+    classes = G.conjugacy_classes()
+    index = G.class_index()
+    k = len(classes)
+    A = np.zeros((k, k), dtype=np.int64)
+    inv_elems = [x.inverse() for x in classes[i].elements]
+    for t in range(k):
+        z = classes[t].rep
+        for xi in inv_elems:
+            A[index[xi * z], t] += 1
+    return A
 
 
 def oracle_minimal_normal_subgroups(normals):

@@ -16,7 +16,11 @@ Besides the catalog, the sweep tabulates the seven direct products of the
 exponents reach 84, and prints their canonical series, projector included, for
 each formation: the projector recursion runs deeper there than on the catalog.
 They are written as group files with stable names into a temporary working
-directory, which is the working directory of every command.
+directory, which is the working directory of every command.  The two products
+of the ``ladder`` workload (seed 1) and the elementary abelian group C2^5,
+which has 374 normal subgroups, are written the same way; for each of them
+the sweep prints the canonical series and the head characters for each
+formation.
 
 The sweep also runs the refusals: every command on a nonsolvable group file
 (A5) and on a trivial one (degree 3, no generators), and the formation
@@ -40,6 +44,7 @@ from formata.cli import run_command
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 FORMATIONS = ("nilpotent", "supersolvable", "metanilpotent", "nilpotent-length:2", "p-nilpotent:2")
 REFUSAL_FILES = {"A5.grp": "degree 5\n(0 1 2 3 4)\n(0 1 2)\n", "trivial.grp": "degree 3\n"}
+C2_5 = ("C2^5.grp", "degree 10\n" + "".join("(%d %d)\n" % (i, i + 1) for i in range(0, 10, 2)))
 INVALID_FORMATIONS = ("p-groups:4", "pi-groups:", "nilpotent:3", "nilpotent-length:0")
 FORMATION_COMMANDS = (
     *(["verify", check] for check in ("counting", "thm54", "thm-b", "thm-a")),
@@ -59,26 +64,29 @@ USAGE_ERRORS = (
 
 
 def write_group_files():
-    """The refusal files and the ``tables`` workload's products, in the working directory.
+    """The refusal files and the benchmark and C2^5 groups, in the working directory.
 
-    Returns the names of the product files.
+    Returns the names of the ``tables`` product files and of the ``ladder``
+    product files followed by C2^5.
     """
-    for name, text in REFUSAL_FILES.items():
+    for name, text in (*REFUSAL_FILES.items(), C2_5):
         with open(name, "w", encoding="utf-8") as fh:
             fh.write(text)
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     catalog = {e.name: (e.degree, e.words) for e in load_catalog()}
-    names = []
-    for label, (degree, words) in workloads.make_inputs("tables", 1, catalog).items():
-        with open(label + ".grp", "w", encoding="utf-8") as fh:
-            fh.write("degree %d\n%s\n" % (degree, "\n".join(words)))
-        names.append(label + ".grp")
-    return names
+    names = {}
+    for workload in ("tables", "ladder"):
+        names[workload] = []
+        for label, (degree, words) in workloads.make_inputs(workload, 1, catalog).items():
+            with open(label + ".grp", "w", encoding="utf-8") as fh:
+                fh.write("degree %d\n%s\n" % (degree, "\n".join(words)))
+            names[workload].append(label + ".grp")
+    return names["tables"], names["ladder"] + [C2_5[0]]
 
 
-def commands(products):
+def commands(products, lattice_groups):
     out = []
     for name in catalog_names():
         for formation in FORMATIONS:
@@ -94,6 +102,10 @@ def commands(products):
         out.append(["table", name, "--json"])
         for formation in FORMATIONS:
             out.append(["series", name, "--formation", formation, "--json"])
+    for name in lattice_groups:
+        for formation in FORMATIONS:
+            out.append(["series", name, "--formation", formation, "--json"])
+            out.append(["headchars", name, "--formation", formation])
     for name in REFUSAL_FILES:
         for cmd in (["table"], *FORMATION_COMMANDS, ["verify", "thm-c"]):
             out.append([*cmd, name])
@@ -121,7 +133,7 @@ def run(argv):
 def main():
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
-        cmds = commands(write_group_files())
+        cmds = commands(*write_group_files())
         order = range(len(cmds) - 1, -1, -1) if "--reverse" in sys.argv[1:] else range(len(cmds))
         results = {i: run(cmds[i]) for i in order}
     for i in range(len(cmds)):
