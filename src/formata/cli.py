@@ -20,7 +20,7 @@ from .catalog import catalog_group, catalog_names, load_catalog
 from .characters import character_table
 from .errors import CapacityError, CatalogIntegrityError, FormataError, InternalInconsistencyError
 from .formations import Formation, projector, require_solvable, residual
-from .groups import PermGroup, generate, normal_subgroups, order_cap, prime_divisors
+from .groups import PermGroup, normal_subgroups, order_cap, prime_divisors
 from .headchars import (
     canonical_series,
     counting_report,
@@ -35,7 +35,7 @@ from .headchars import (
     theorem_c_report,
     unique_invariant_below,
 )
-from .perms import read_group_file
+from .perms import parse_cycles, read_group_file
 
 VERIFY_FORMATIONS = ("nilpotent", "supersolvable", "metanilpotent", "nilpotent-length:2")
 
@@ -260,11 +260,11 @@ def _once(G, option):
 
 
 def _normals(G, words):
-    """The subgroup generated by the --normal words, or every normal subgroup of a solvable G."""
+    """The subgroup of G generated by the --normal words, or every normal subgroup of a solvable G."""
     if words is None:
         require_solvable(G)
         return normal_subgroups(G)
-    return [generate(G.degree, [w.strip() for w in words.split(";") if w.strip()])]
+    return [G.subgroup([parse_cycles(w, G.degree) for w in words.split(";") if w.strip()])]
 
 
 def _primes(G, prime):

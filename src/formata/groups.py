@@ -136,18 +136,19 @@ class PermGroup:
     generators (``generate``, a group file, ``PermGroup(...)``) and from
     ``quotient``; every subgroup formata builds inside a group, from products,
     meets, closures, preimages and images to projectors and series terms, goes
-    through ``from_elements`` and is interned under its root.  A root owns a
-    memo, one dict shared with every subgroup interned under it; groups under
-    different roots share nothing, and a memo lives as long as its root.
+    through ``from_elements`` and is interned under its root ``_root``.  A
+    root owns a memo, one dict shared with every subgroup interned under it;
+    groups under different roots share nothing, and a memo lives as long as
+    its root.
 
     The memo is the intern table: under a frozenset of elements it holds the
-    one group object of the root with that element set, so each subgroup has
-    one identity and whatever is cached on it is shared by every route that
-    reaches it.  The memo also caches the subgroup algebra: under a tuple
-    ``(operation, *input groups, *parameters)`` it holds a result, keyed by
-    the input objects, which interning makes unique per element set within a
-    root.  A computation that raises stores nothing, so every check runs on
-    the first computation.
+    one group object of the root with that element set, the root itself for
+    all of its elements, so each subgroup has one identity and whatever is
+    cached on it is shared by every route that reaches it.  The memo also
+    caches the subgroup algebra: under a tuple ``(operation, *input groups,
+    *parameters)`` it holds a result, keyed by the input objects, which
+    interning makes unique per element set within a root.  A computation that
+    raises stores nothing, so every check runs on the first computation.
 
     The group's own data stays in attributes, filled lazily and idempotently:
     ``_order``, ``_elements`` and ``_element_set``, the stabilizer chain
@@ -175,6 +176,7 @@ class PermGroup:
                 gens.append(g)
         self.generators = tuple(gens)
         self._memo = {}
+        self._root = self
         self._chain = None
         self._order = None
         self._elements = None
@@ -193,12 +195,12 @@ class PermGroup:
     def from_elements(cls, G, elements):
         """The group with this element set, interned in the memo of G's root.
 
-        This is how every subgroup is built; it never makes a root, and a
-        root is not in its own memo, so the set of all of a root's elements
-        gives an interned copy of the root with reduced generators.  The
-        identity is added if missing.  Generators are reduced greedily from
-        the sorted elements, so they depend on the set alone.  A set that is
-        not closed under products raises InternalInconsistencyError.
+        This is how every subgroup is built; it never makes a root.  The
+        identity is added if missing.  The set of all of the root's elements
+        gives the root itself, with its own generators; for any other set the
+        generators are reduced greedily from the sorted elements, so they
+        depend on the set alone.  A set that is not closed under products
+        raises InternalInconsistencyError.
         """
         key = frozenset(elements)
         memo = G._memo
@@ -211,9 +213,14 @@ class PermGroup:
             got = memo.get(key)
             if got is not None:
                 return got
+        root = G._root
+        if len(key) == root.order() and key == root.element_set():
+            memo[key] = root
+            return root
         elts = sorted(key)
         H = cls(G.degree, _greedy_generators(G.degree, elts))
         H._memo = memo
+        H._root = root
         H._elements = tuple(elts)
         H._element_set = key
         H._order = len(elts)
@@ -979,9 +986,8 @@ def h_composition_series(G, H, anchors=()):
     for A in sorted(anchors, key=lambda A: A.sort_key()):
         if not is_invariant_under(A, H):
             raise DomainError("anchor is not H-invariant")
-        if A.order() in (1, G.order()) or A.order() == chain[-1].order():
-            continue
-        chain.append(A)
+        if A.element_set() not in (chain[-1].element_set(), G.element_set()):
+            chain.append(A)
     chain.append(G)
     for lo, hi in zip(chain, chain[1:]):
         if not lo.is_subgroup_of(hi):

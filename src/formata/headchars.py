@@ -25,16 +25,6 @@ def _trivial_subgroup(G):
     return PermGroup.from_elements(G, [G.identity()])
 
 
-def _product(G, A, B):
-    """Subgroup product A*B inside G, and G itself when it is all of G.
-
-    A and B are G or interned under G's root, so the product is G or the one
-    interned subgroup with its element set.
-    """
-    got = subgroup_product(A, B)
-    return G if got.order() == G.order() else got
-
-
 def _subgroup_json(U):
     return [g.cycle_string() for g in U.generators]
 
@@ -68,7 +58,7 @@ class CanonicalSeries:
         """Subgroup K_i*H; equals the whole group at i = 0 and H at i = m."""
         if i == self.m:
             return self.projector
-        return _product(self.group, self.pairs[i][0], self.projector)
+        return subgroup_product(self.pairs[i][0], self.projector)
 
     def anchors(self):
         """The proper terms K_i, L_i, for refining H-composition series."""
@@ -114,7 +104,7 @@ def _canonical_series(G, F):
     while K.order() > 1:
         L = K.derived_subgroup()
         pairs.append((K, L))
-        K = residual(_product(G, L, H), F)
+        K = residual(subgroup_product(L, H), F)
     cs = CanonicalSeries(G, F, H, pairs)
     _verify_canonical(cs)
     return cs
@@ -135,7 +125,7 @@ def _verify_canonical(cs):
                 raise InternalInconsistencyError(
                     "canonical series: K_%d is not inside L_%d" % (i, i - 1)
                 )
-            if KH is not _product(G, prevL, H):
+            if KH is not subgroup_product(prevL, H):
                 raise InternalInconsistencyError(
                     "canonical series: K_%dH differs from L_%dH" % (i, i - 1)
                 )
@@ -242,7 +232,7 @@ def extension_transfer_check(G, K, L, F, theta, phi):
     if unique_invariant_below(theta, G, K, L, H) != phi:
         raise DomainError("phi is not the invariant constituent below theta")
     hyp = _hypothesis(G, F)
-    LH = _product(G, L, H)
+    LH = subgroup_product(L, H)
     etas = extensions_of(phi, LH)
     chis = extensions_of(theta, G)
     irr_g = character_table(G).irr
@@ -320,8 +310,8 @@ def strong_series_for(chi, G, F, series=None):
         S, T = series[i], series[i - 1]
         if not T.is_subgroup_of(S):
             raise DomainError("series terms are not nested")
-        SH = _product(G, S, H)
-        TH = _product(G, T, H)
+        SH = subgroup_product(S, H)
+        TH = subgroup_product(T, H)
         if SH.order() == TH.order():
             rest = thetas[i].restrict(T)
             if not rest.is_irreducible():
@@ -338,7 +328,7 @@ def strong_series_for(chi, G, F, series=None):
             thetas[i - 1] = unique_invariant_below(thetas[i], SH, S, T, H)
     witnesses = []
     for i, S in enumerate(series):
-        SH = _product(G, S, H)
+        SH = subgroup_product(S, H)
         exts = extensions_of(thetas[i], SH)
         if not exts:
             raise NoStrongSeriesError(
@@ -452,7 +442,7 @@ def theorem_a_report(G, F, N):
     if not is_normal_in(N, G):
         raise DomainError("N must be normal in G")
     H = projector(G, F)
-    NH = _product(G, N, H)
+    NH = subgroup_product(N, H)
     heads = fprime_ascending(G, F)
     hyp = _hypothesis(G, F)
     index = G.order() // NH.order()

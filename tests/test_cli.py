@@ -4,13 +4,15 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import formata
 import formata.cli as cli
-from formata.catalog import load_catalog
+from formata import catalog, characters
+from formata.catalog import catalog_group, load_catalog
 from formata.cli import run_command
 from formata.errors import CycleParseError
 from formata.perms import read_group_file
@@ -133,6 +135,35 @@ def test_verify_thm_a_sweeps_all_normals(capsys):
     code, out, _ = run(capsys, "verify", "thm-a", "S4")
     assert code == 0
     assert out.count("thm-a") == 4
+
+
+def test_verify_thm_a_normal_all_of_g_is_the_lattice_instance(capsys, monkeypatch):
+    # N = S4 given by --normal is interned under S4's root, so it reports the
+    # instance of the lattice sweep and its table is S4's own
+    monkeypatch.setattr(catalog._BY_NAME["s4"], "_group", None)
+    runs = Counter()
+    raw = characters._dixon_once
+
+    def counting(G, q):
+        runs[G.element_set()] += 1
+        return raw(G, q)
+
+    monkeypatch.setattr(characters, "_dixon_once", counting)
+    code, out, _ = run(capsys, "verify", "thm-a", "S4", "--normal", "(0 1 2 3);(0 1)", "--json")
+    assert code == 0
+    single = json.loads(out)["instances"]
+    code, out, _ = run(capsys, "verify", "thm-a", "S4", "--json")
+    assert code == 0
+    swept = json.loads(out)["instances"]
+    assert single == [inst for inst in swept if inst["inputs"]["normal"] == ["(0 1 2 3)", "(0 1)"]]
+    assert len(single) == 4
+    assert runs[catalog_group("S4").element_set()] == 1
+
+
+def test_verify_thm_a_normal_outside_g_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "thm-a", "A4", "--normal", "(0 1)")
+    assert code == 2 and out == ""
+    assert err == "error: subgroup generator outside the group\n"
 
 
 GOLDEN = Path(__file__).parent / "golden"

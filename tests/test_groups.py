@@ -118,16 +118,23 @@ def test_minimal_normal_subgroups(s4, q8):
     assert [N.order() for N in minq] == [2]
 
 
-def lattice_signature(normals):
-    return [(N.order(), tuple(g.images for g in N.generators)) for N in normals]
+def assert_members_match_oracle(G, members, oracle):
+    """The same subgroups in the same order.  The member with all of G's
+    elements is G itself; every other has the oracle's greedy generators."""
+    assert [N.element_set() for N in members] == [O.element_set() for O in oracle]
+    for N, O in zip(members, oracle):
+        if N.order() == G.order():
+            assert N is G
+        else:
+            assert [g.images for g in N.generators] == [g.images for g in O.generators]
 
 
 def assert_lattice_matches_oracle(G):
     oracle = oracle_normal_subgroups(G)
-    assert lattice_signature(normal_subgroups(G)) == lattice_signature(oracle)
-    assert lattice_signature(minimal_normal_subgroups(G)) == lattice_signature(
-        oracle_minimal_normal_subgroups(oracle)
-    )
+    normals = normal_subgroups(G)
+    assert normals[-1] is G
+    assert_members_match_oracle(G, normals, oracle)
+    assert_members_match_oracle(G, minimal_normal_subgroups(G), oracle_minimal_normal_subgroups(oracle))
 
 
 @pytest.mark.parametrize("entry", load_catalog(), ids=lambda entry: entry.name)
@@ -274,6 +281,18 @@ def test_h_composition_series_no_anchors_reaches_fixpoint(s4, d8):
 def test_h_composition_series_g_is_h(s4):
     series = h_composition_series(s4, s4)
     assert [T.order() for T in series] == [T.order() for T in chief_series(s4)]
+
+
+def test_h_composition_series_refuses_anchors_of_equal_order_off_a_chain():
+    G = generate(4, ["(0 1)", "(2 3)"])
+    trivial = G.subgroup([])
+    a, b = G.subgroup([parse_cycles("(0 1)", 4)]), G.subgroup([parse_cycles("(2 3)", 4)])
+    with pytest.raises(DomainError, match="chain"):
+        h_composition_series(G, trivial, [a, b])
+    with pytest.raises(DomainError, match="chain"):
+        chief_series(G, through=[a, b])
+    # an anchor equal to the term before it, or to G, is skipped
+    assert h_composition_series(G, trivial, [a, a, G]) == [trivial, a, G]
 
 
 def _assert_h_simple_factors(series, H):

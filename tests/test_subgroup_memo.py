@@ -22,7 +22,9 @@ from formata.errors import DomainError, InternalInconsistencyError
 from formata.formations import Formation, is_nilpotent, projector, residual
 from formata.groups import (
     PermGroup,
+    chief_series,
     generate,
+    h_composition_series,
     intersection,
     normal_subgroups,
     normalizer,
@@ -36,6 +38,7 @@ from formata.headchars import (
     canonical_series,
     strong_series_for,
     theorem_54_report,
+    theorem_b_report,
     unique_invariant_below,
 )
 from formata.perms import Perm, parse_cycles
@@ -73,10 +76,63 @@ def test_roots_do_not_share(s4):
     assert here._memo is s4._memo and there._memo is other._memo
 
 
+def assert_root_or_fresh_generators(G, U):
+    """U is G itself when it has all of G's elements; otherwise its
+    generators are those of a fresh greedy build of its element set."""
+    if U.element_set() == G.element_set():
+        assert U is G
+    else:
+        assert images(U) == images(fresh(G.degree, U.elements()))
+
+
 def test_interned_generators_equal_a_fresh_build(s4):
     for N in normal_subgroups(s4):
-        assert images(N) == images(fresh(4, N.elements()))
+        assert_root_or_fresh_generators(s4, N)
         assert N.order() == len(N.elements())
+
+
+def test_a_root_is_interned_under_its_own_element_set(s4, v4):
+    assert PermGroup.from_elements(s4, s4.elements()) is s4
+    assert PermGroup.from_elements(s4.derived_subgroup(), s4.element_set()) is s4
+    Q, gmap = quotient(s4, v4)
+    assert PermGroup.from_elements(Q, Q.elements()) is Q
+    assert gmap.image_of_subgroup(s4) is Q
+    assert gmap.preimage_of_subgroup(Q) is s4
+
+
+def test_the_root_is_reached_before_its_elements_are_listed():
+    a5 = generate(5, ["(0 1 2 3 4)", "(0 1 2)"])
+    assert a5._elements is None
+    assert a5.derived_subgroup() is a5
+
+
+def test_lattice_series_and_products_end_at_the_root(s4):
+    assert normal_subgroups(s4)[-1] is s4
+    assert chief_series(s4)[-1] is s4
+    H = sylow(s4, 2)
+    assert h_composition_series(s4, H)[-1] is s4
+    assert subgroup_product(s4.derived_subgroup(), H) is s4
+    F = Formation.parse("nilpotent")
+    cs = canonical_series(s4, F)
+    assert cs.level(0) is s4 and _default_series(s4, F)[-1] is s4
+
+
+def test_classes_are_built_once_per_element_set_of_a_root(monkeypatch):
+    G = direct_product(catalog_group("S4"), catalog_group("S3"))
+    builds = Counter()
+    raw = PermGroup.conjugacy_classes
+
+    def counting(U):
+        if U._classes is None:
+            builds[id(U._memo), U.element_set()] += 1
+        return raw(U)
+
+    monkeypatch.setattr(PermGroup, "conjugacy_classes", counting)
+    F = Formation.parse("nilpotent")
+    assert theorem_54_report(G, F)["summary"]["all_pass"]
+    assert theorem_b_report(G, F)["summary"]["all_pass"]
+    assert builds[id(G._memo), G.element_set()] == 1
+    assert max(builds.values()) == 1
 
 
 def test_from_elements_rejects_an_unclosed_set():
@@ -92,8 +148,8 @@ def test_from_elements_rejects_an_unclosed_set():
 
 
 def interned(G, X):
-    """Whether X is G or the one group interned under G's root with X's elements."""
-    return X is G or PermGroup.from_elements(G, X.element_set()) is X
+    """Whether X is the one group interned under G's root with X's elements, G itself for all of them."""
+    return PermGroup.from_elements(G, X.element_set()) is X
 
 
 @pytest.mark.parametrize("entry", load_catalog(), ids=lambda entry: entry.name)
@@ -185,7 +241,7 @@ def assert_memo_matches_oracles(G):
     for p in prime_divisors(G.order()):
         P = sylow(G, p)
         assert P.element_set() == oracle_sylow(G, p)
-        assert images(P) == images(fresh(G.degree, P.elements()))
+        assert_root_or_fresh_generators(G, P)
     for U in subs:
         M = normalizer(G, U)
         assert M.element_set() == oracle_normalizer(G, U)
@@ -194,11 +250,11 @@ def assert_memo_matches_oracles(G):
             # N is normal, so NU is a subgroup
             P = subgroup_product(N, U)
             assert P.element_set() == oracle_product(N, U)
-            assert images(P) == images(fresh(G.degree, P.elements()))
+            assert_root_or_fresh_generators(G, P)
             assert subgroup_product(N, U) is P
             M = intersection(N, U)
             assert M.element_set() == N.element_set() & U.element_set()
-            assert images(M) == images(fresh(G.degree, M.elements()))
+            assert_root_or_fresh_generators(G, M)
             assert intersection(N, U) is M
         Q, gmap = quotient(G, N)
         assert Q.order() * N.order() == G.order()

@@ -22,6 +22,10 @@ which has 374 normal subgroups, are written the same way; for each of them
 the sweep prints the canonical series and the head characters for each
 formation.
 
+A few commands print a subgroup that is all of a solvable G (a residual or
+a projector equal to G, and ``verify thm-a --normal`` with N = G): they print
+G's own generators, as every subgroup equal to its root is the root itself.
+
 The sweep also runs the refusals: every command on a nonsolvable group file
 (A5) and on a trivial one (degree 3, no generators), and the formation
 commands with invalid descriptors, so their error lines are compared too.
@@ -46,6 +50,13 @@ FORMATIONS = ("nilpotent", "supersolvable", "metanilpotent", "nilpotent-length:2
 REFUSAL_FILES = {"A5.grp": "degree 5\n(0 1 2 3 4)\n(0 1 2)\n", "trivial.grp": "degree 3\n"}
 C2_5 = ("C2^5.grp", "degree 10\n" + "".join("(%d %d)\n" % (i, i + 1) for i in range(0, 10, 2)))
 INVALID_FORMATIONS = ("p-groups:4", "pi-groups:", "nilpotent:3", "nilpotent-length:0")
+ROOT_COMMANDS = (
+    ["residual", "S4", "--formation", "pi-groups:3"],
+    ["residual", "S3", "--formation", "p-groups:3"],
+    ["projector", "S4", "--formation", "pi-groups:2,3"],
+    ["verify", "thm-a", "S4", "--normal", "(0 1)(2 3);(0 2)(1 3)", "--json"],
+    ["verify", "thm-a", "S4", "--normal", "(0 1 2 3);(0 1)", "--json"],
+)
 FORMATION_COMMANDS = (
     *(["verify", check] for check in ("counting", "thm54", "thm-b", "thm-a")),
     ["series"], ["headchars"], ["projector"], ["residual"],
@@ -97,6 +108,7 @@ def commands(products, lattice_groups):
         out.append(["verify", "thm-c", name, "--json"])
         out.append(["table", name])
         out.append(["table", name, "--json"])
+    out.extend(ROOT_COMMANDS)
     for name in products:
         out.append(["table", name])
         out.append(["table", name, "--json"])
