@@ -6,16 +6,16 @@ nilpotent length).  All of these are saturated, so projectors exist in every
 finite solvable group and are computed by the usual minimal-normal-subgroup
 recursion with a complement step at the bottom.
 
-Membership of a quotient G/N, for N normal in G, is decided on class masks
-of G and no quotient group is built: the normal subgroups M >= N of G stand
-for the normal subgroups M/N of G/N.  Indices are sums of class sizes, and
-lower central series are closures on G's class support
-(``groups.class_support``), so p-groups, pi-groups and nilpotent membership
-and the nilpotent residual, the last term of G's lower central series, never
-enumerate the lattice of normal subgroups.  The other kinds walk that lattice
-(``groups.normal_masks``): chief series, the Fitting series, and for the
-residual the meet, a bitwise AND, of the masks whose quotients lie in the
-formation.  A group itself is the case N = 1.
+Residuals and membership are decided on G's class masks, by closures on its
+class support (``groups.class_support``), and no quotient group is built.
+The residual of a product formation is a composition, (G^H)^F: nilpotent is
+gamma_inf(G), bounded nilpotent length k is gamma_inf applied k times
+(metanilpotent: k = 2), p-groups and pi-groups give O^pi(G), the closure of
+the classes of pi'-elements, and p-nilpotent gives O^p'(O^p(G)).  G/N lies
+in the formation iff the residual lies in N, one mask test.  Supersolvable
+membership walks chief steps up from N, and its residual is the one result
+here that enumerates the normal lattice (``groups.normal_masks``): the meet
+of the masks whose quotients are supersolvable.
 """
 
 from __future__ import annotations
@@ -24,8 +24,11 @@ from .errors import DomainError, InternalInconsistencyError, UnsupportedGroupErr
 from .groups import (
     INTERMEDIATE_MAX_ORDER,
     _bits,
+    _chief_step,
+    _class_closures,
+    _closure_mask,
     _full_mask,
-    chief_masks,
+    _mask_order,
     complement,
     intermediate_subgroups,
     intersection,
@@ -62,13 +65,19 @@ def is_supersolvable(G):
 
 
 def fitting_subgroup(G):
-    """Largest nilpotent normal subgroup."""
-    return normal_masks(G)[_fitting_mask(G, 1)]
+    """Largest nilpotent normal subgroup: the union of the classes whose normal closure is nilpotent."""
+    return mask_subgroup(G, sum(1 << i for i, m in enumerate(_class_closures(G)) if lower_central_mask(G, m) == 1))
 
 
 def nilpotent_length(G):
-    """Length of the Fitting series; None when it stalls (nonsolvable)."""
-    return _fitting_length(G, 1)
+    """Fitting length: the steps of gamma_inf, iterated, down to 1; None when it stalls (nonsolvable)."""
+    m, length = _full_mask(G), 0
+    while m != 1:
+        nxt = lower_central_mask(G, m)
+        if nxt == m:
+            return None
+        m, length = nxt, length + 1
+    return length
 
 
 def is_p_nilpotent(G, p):
@@ -76,61 +85,14 @@ def is_p_nilpotent(G, p):
     return Formation("p_nilpotent", (p,)).is_member(G)
 
 
-# -- quotients G/N on G's lattice; N is given by its class mask n -------------
-
-
-def _index(G, n):
-    """|G:N|, with |N| the sum of its class sizes."""
-    sizes = G.class_sizes()
-    return G.order() // sum(int(sizes[i]) for i in _bits(n))
-
-
-def _nilpotent_over(G, m, n):
-    """Whether M/N is nilpotent, for normal N <= M of G: gamma_inf(M) <= N."""
-    return lower_central_mask(G, m) & ~n == 0
-
-
-def _fitting_mask(G, n):
-    """Mask of the M >= N of G with M/N the Fitting subgroup of G/N.
-
-    A product of normal nilpotent subgroups is nilpotent, so the largest M
-    with M/N nilpotent contains every other; the lattice is sorted by order,
-    so it is the first one met from the top.
-    """
-    return next(m for m in reversed(normal_masks(G)) if m & n == n and _nilpotent_over(G, m, n))
-
-
-def _fitting_length(G, n):
-    """Nilpotent length of G/N; None when the Fitting series stalls (G/N nonsolvable)."""
-    full = _full_mask(G)
-    length = 0
-    while n != full:
-        top = _fitting_mask(G, n)
-        if top == n:
-            return None
-        n, length = top, length + 1
-    return length
-
-
 def _supersolvable_over(G, n):
-    """Whether every chief factor of G between N and G has prime order.
+    """Whether every chief factor of G above N has prime order; memoized per mask, one chief step per call."""
 
-    Chief factors are unique up to isomorphism (Jordan-Hoelder), so one
-    chief series from N to G decides it.
-    """
-    series = chief_masks(G, n, _full_mask(G))
-    masks = normal_masks(G)
-    return all(is_prime(masks[b].order() // masks[a].order()) for a, b in zip(series, series[1:]))
+    def compute():
+        step = _chief_step(G, n, _full_mask(G))
+        return is_prime(_mask_order(G, step) // _mask_order(G, n)) and _supersolvable_over(G, step)
 
-
-def _p_nilpotent_over(G, n, p):
-    """Whether G/N has a normal p-complement: a normal M >= N with |G:M| = |G:N|_p."""
-    index = _index(G, n)
-    pa = 1
-    while index % (pa * p) == 0:
-        pa *= p
-    order = G.order()
-    return any(m & n == n and order // M.order() == pa for m, M in normal_masks(G).items())
+    return n == _full_mask(G) or G.memo(("supersolvable_over", G, n), compute)
 
 
 class Formation:
@@ -203,41 +165,49 @@ class Formation:
     def contains_quotient(self, G, n):
         """Whether G/N lies in the formation, for the normal N of G with class mask n.
 
-        Decided on G's class masks; no quotient group is built.
+        (G/N)^F = G^F N / N, so G/N lies in F iff G^F <= N; supersolvable
+        walks the chief factors above N instead.  No quotient group is built.
         """
-        index = _index(G, n)
-        if index == 1:
-            return True
-        if self.kind in ("p_groups", "pi_groups"):
-            return set(prime_divisors(index)) <= set(self.params)
-        if self.kind == "nilpotent":
-            return _nilpotent_over(G, _full_mask(G), n)
         if self.kind == "supersolvable":
             return _supersolvable_over(G, n)
-        if self.kind == "p_nilpotent":
-            return _p_nilpotent_over(G, n, self.params[0])
-        bound = 2 if self.kind == "metanilpotent" else self.params[0]
-        length = _fitting_length(G, n)
-        return length is not None and length <= bound
+        return _residual_mask(G, self) & ~n == 0
 
 
 def residual(G, formation):
     """Smallest normal subgroup with quotient in the formation."""
+    return mask_subgroup(G, _residual_mask(G, formation))
+
+
+def _residual_mask(G, formation):
+    """Class mask of the residual, cached in G's memo."""
     return G.memo(("residual", G, formation.key()), lambda: _residual(G, formation))
 
 
 def _residual(G, formation):
-    if formation.kind == "nilpotent":
-        return mask_subgroup(G, lower_central_mask(G, _full_mask(G)))
-    lattice = normal_masks(G)
-    out = _full_mask(G)
-    for m in lattice:
-        # meeting with an overgroup of out cannot shrink it
-        if out & m != out and formation.contains_quotient(G, m):
-            out &= m
-    if not formation.contains_quotient(G, out):
-        raise InternalInconsistencyError("residual intersection left the formation")
-    return lattice[out]
+    kind, params, full = formation.kind, formation.params, _full_mask(G)
+
+    def generated(m, keep):
+        # the subgroup generated by the classes in m whose element order passes keep
+        return _closure_mask(G, (i for i in _bits(m) if keep(G.conjugacy_classes()[i].rep.order())))
+
+    if kind in ("p_groups", "pi_groups"):
+        return generated(full, lambda o: all(o % p for p in params))
+    if kind == "p_nilpotent":
+        p = params[0]
+        return generated(generated(full, lambda o: o % p), lambda o: set(prime_divisors(o)) <= {p})
+    if kind == "supersolvable":
+        out = full
+        for m in normal_masks(G):
+            # meeting with an overgroup of out cannot shrink it
+            if out & m != out and _supersolvable_over(G, m):
+                out &= m
+        if not _supersolvable_over(G, out):
+            raise InternalInconsistencyError("residual intersection left the formation")
+        return out
+    out = full
+    for _ in range({"nilpotent": 1, "metanilpotent": 2}.get(kind) or params[0]):
+        out = lower_central_mask(G, out)
+    return out
 
 
 def require_solvable(G):

@@ -157,7 +157,7 @@ class PermGroup:
     element lookup by base images ``_element_keys`` (see ``_element_keys``),
     the class-product support ``_class_support`` (``class_support``), which
     every normal-subgroup question reads, and the lattice filled by
-    ``normal_subgroups`` only where a result walks it: ``_normals`` and the
+    ``normal_subgroups`` only where a result lists it: ``_normals`` and the
     dict ``_normal_masks`` from each normal subgroup's class mask to the
     subgroup (in the order of ``_normals``, read through ``normal_masks``).
     Only a root given by generators builds a chain to certify its order; a
@@ -716,12 +716,10 @@ def normal_subgroups(G):
     found is then built once through mask_subgroup.
 
     The lattice can be exponentially large (C2^n has one normal subgroup per
-    subspace of F_2^n), so it is enumerated only where a result walks it:
-    chief series, the Fitting series, supersolvable and p-nilpotent
-    membership, the residuals of the formations other than the nilpotent one,
-    and the normal subgroups of Theorems A, B and C.  Minimal normal
-    subgroups, commutators, nilpotent membership and the nilpotent residual
-    are closures on the support.
+    subspace of F_2^n), so it is enumerated only where a result lists normal
+    subgroups: the supersolvable residual, ``verify thm-a`` without
+    ``--normal``, and the kernel bound of Theorems B and C.  Every other
+    normal-subgroup question is a closure on the support.
     """
     if G._normals is None:
         support = class_support(G)
@@ -747,6 +745,12 @@ def normal_masks(G):
     return G._normal_masks
 
 
+def _class_closures(G):
+    """The class mask of the normal closure of each class, in class order; cached in G's memo."""
+    support = class_support(G)
+    return G.memo(("class_closures", G), lambda: tuple(_close_classes(support, 1, i) for i in range(len(support))))
+
+
 def minimal_normal_subgroups(G):
     """Nontrivial normal subgroups containing no other nontrivial one, sorted by sort_key.
 
@@ -756,8 +760,7 @@ def minimal_normal_subgroups(G):
     """
 
     def compute():
-        support = class_support(G)
-        closures = {_close_classes(support, 1, i) for i in range(1, len(support))}
+        closures = set(_class_closures(G)[1:])
         minimal = [m for m in closures if not any(o != m and o & m == o for o in closures)]
         return tuple(sorted((mask_subgroup(G, m) for m in minimal), key=PermGroup.sort_key))
 
@@ -771,6 +774,30 @@ def _full_mask(G):
     return (1 << len(G.conjugacy_classes())) - 1
 
 
+def _mask_order(G, m):
+    """Order of the normal subgroup with class mask m: the sum of its class sizes."""
+    classes = G.conjugacy_classes()
+    return sum(classes[i].size for i in _bits(m))
+
+
+def _mask_key(G, m):
+    """Order, then sorted class representatives: masks sort as PermGroup.sort_key sorts their subgroups.
+
+    Normal subgroups of one order first differ at a class's least element, its representative.
+    """
+    classes = G.conjugacy_classes()
+    return _mask_order(G, m), tuple(sorted(classes[i].rep.images for i in _bits(m)))
+
+
+def _closure_mask(G, indices):
+    """Class mask of the subgroup generated by the classes with these indices."""
+    support, mask = class_support(G), 1
+    for i in indices:
+        if not mask >> i & 1:
+            mask = _close_classes(support, mask, i)
+    return mask
+
+
 def commutator_mask(G, a, b):
     """Class mask of [A, B] for the normal subgroups of G with class masks a and b.
 
@@ -779,16 +806,9 @@ def commutator_mask(G, a, b):
     lies in [A, B] and contains the normal closure in AB, which is [A, B].
     The normal closure is the class closure of the commutators' classes.
     """
-    support = class_support(G)
     A, B = mask_subgroup(G, a), mask_subgroup(G, b)
     index = G.class_index()
-    mask = 1
-    for x in A.generators:
-        for y in B.generators:
-            i = index[x.commutator(y)]
-            if not mask >> i & 1:
-                mask = _close_classes(support, mask, i)
-    return mask
+    return _closure_mask(G, (index[x.commutator(y)] for x in A.generators for y in B.generators))
 
 
 def lower_central_mask(G, m):
@@ -810,37 +830,47 @@ def lower_central_mask(G, m):
     return G.memo(("lower_central", G, m), compute)
 
 
-def chief_masks(G, lo, hi):
-    """Class masks of a chief series of G from the normal mask lo up to hi >= lo.
+def _chief_step(G, lo, hi):
+    """Class mask of the least normal subgroup of G, by _mask_key, strictly above lo inside hi; memoized.
 
-    Each step takes the first lattice mask strictly above the current one and
-    inside hi.  The lattice is sorted by sort_key, so that is the least such
-    normal subgroup, and no normal subgroup lies strictly between the two.
+    Every normal subgroup above lo contains the closure of lo with one of its
+    classes, so the least is the least such closure.  The closure with class i
+    is lo N_i, N_i the class's normal closure, of order |lo| |N_i| / |lo meet
+    N_i|; only closures of least order are built, one per class they cover.
     """
-    lattice = normal_masks(G)
-    series = [lo]
-    while lo != hi:
-        lo = next(m for m in lattice if m != lo and m & lo == lo and m & hi == m)
-        series.append(lo)
-    return series
+
+    def compute():
+        closures = _class_closures(G)
+        size = _mask_order(G, lo)
+        orders = {i: size * _mask_order(G, closures[i]) // _mask_order(G, closures[i] & lo) for i in _bits(hi & ~lo)}
+        least = min(orders.values())
+        support = class_support(G)
+        tied, covered = [], lo
+        for i, o in orders.items():
+            if o == least and not covered >> i & 1:
+                tied.append(_close_classes(support, lo, i))
+                covered |= tied[-1]
+        return tied[0] if len(tied) == 1 else min(tied, key=lambda m: _mask_key(G, m))
+
+    return G.memo(("chief_step", G, lo, hi), compute)
 
 
 def chief_series(G, through=()):
-    """A chief series of G passing through the given chain of normal subgroups."""
+    """A chief series of G passing through the given chain of normal subgroups, one _chief_step at a time."""
     if not G.is_solvable():
         raise UnsupportedGroupError("chief series requires a solvable group")
-    lattice = normal_masks(G)
-    mask_of = {N.element_set(): m for m, N in lattice.items()}
-    if any(A.element_set() not in mask_of for A in through):
+    index = G.class_index()
+    # an anchor's mask is its normal closure, which has the anchor's order iff it is normal
+    anchors = {A: _closure_mask(G, (index[g] for g in A.generators)) if A.is_subgroup_of(G) else 0 for A in through}
+    if any(_mask_order(G, m) != A.order() for A, m in anchors.items()):
         raise DomainError("chief series anchor is not normal")
-    anchors = {mask_of[A.element_set()] for A in through}
-    targets = [m for m in lattice if m in anchors] + [_full_mask(G)]
     series = [1]
-    for t in targets:
+    for t in sorted(set(anchors.values()), key=lambda m: _mask_key(G, m)) + [_full_mask(G)]:
         if t & series[-1] != series[-1]:
             raise DomainError("chief series anchors do not form a chain")
-        series += chief_masks(G, series[-1], t)[1:]
-    return [lattice[m] for m in series]
+        while series[-1] != t:
+            series.append(_chief_step(G, series[-1], t))
+    return [mask_subgroup(G, m) for m in series]
 
 
 # -- quotients ----------------------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from _products import direct_product
 from formata import characters, formations, groups
-from formata.catalog import catalog_group
+from formata.catalog import catalog_group, load_catalog
 from formata.cyclotomic import Cyclotomic
 from formata.formations import Formation
 from formata.groups import PermGroup, generate
@@ -130,9 +130,15 @@ def count_module_calls(monkeypatch, names, owner=groups):
     return calls
 
 
+def fresh_2s4():
+    entry = next(e for e in load_catalog() if e.name == "2S4")
+    return generate(entry.degree, entry.words)
+
+
 def test_ladder_calls_reach_closure_and_lattice(monkeypatch):
     # the `ladder` and `verify_catalog` traces expect groups.closure_elements
-    # and groups.normal_subgroups to be entered
+    # and groups.normal_subgroups to be entered; on `ladder` the lattice is
+    # entered only by the set-up's 2S4 check, through its supersolvable residual
     calls = count_module_calls(monkeypatch, ("closure_elements", "normal_subgroups"))
     s4 = generate(4, ["(0 1)", "(0 1 2 3)"])
     v4 = s4.derived_subgroup().derived_subgroup()
@@ -144,6 +150,10 @@ def test_ladder_calls_reach_closure_and_lattice(monkeypatch):
     assert calls["closure_elements"] > 0
     calls.clear()
     assert theorem_54_report(s4, Formation.parse("nilpotent"))["summary"]["all_pass"]
+    assert calls["closure_elements"] > 0
+    assert calls["normal_subgroups"] == 0
+    calls.clear()
+    assert formations.residual(fresh_2s4(), Formation.parse("supersolvable")).order() == 8
     assert calls["normal_subgroups"] > 0
 
 
@@ -156,6 +166,7 @@ def test_fresh_group_reaches_closure_and_lattice_after_warm_memos(monkeypatch):
     warm_d8 = groups.sylow(warm, 2)
     assert groups.subgroup_product(warm_v4, warm_d8).order() == 8
     assert theorem_54_report(warm, Formation.parse("nilpotent"))["summary"]["all_pass"]
+    warm_support = groups.class_support(warm)
     calls = count_module_calls(monkeypatch, ("closure_elements", "normal_subgroups"))
     s4 = generate(4, words)
     v4 = s4.derived_subgroup().derived_subgroup()
@@ -164,10 +175,17 @@ def test_fresh_group_reaches_closure_and_lattice_after_warm_memos(monkeypatch):
     calls.clear()
     assert groups.subgroup_product(v4, d8).order() == 8
     assert calls["closure_elements"] > 0
-    assert s4._normals is None  # the lattice is computed anew, not shared
+    assert s4._class_support is None  # the class support is computed anew, not shared
     calls.clear()
     assert theorem_54_report(s4, Formation.parse("nilpotent"))["summary"]["all_pass"]
-    assert calls["normal_subgroups"] > 0
+    assert calls["closure_elements"] > 0
+    assert s4._class_support is not None and s4._class_support is not warm_support
+    assert groups.class_support(warm) is warm_support
+    assert calls["normal_subgroups"] == 0 and s4._normals is None
+    # the lattice, where a result still lists it, is the fresh group's own too
+    G = fresh_2s4()
+    assert formations.residual(G, Formation.parse("supersolvable")).order() == 8
+    assert calls["normal_subgroups"] > 0 and G._normals is not None
 
 
 def test_residual_and_mask_searches_build_no_quotient(monkeypatch):

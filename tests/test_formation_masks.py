@@ -28,6 +28,9 @@ from formata.groups import (
     normal_subgroups,
     quotient,
 )
+from formata.headchars import theorem_54_report
+from test_bench_contract import count_module_calls
+from test_class_support import elementary_abelian_2
 
 FORMATIONS = [
     Formation.parse(desc)
@@ -35,12 +38,16 @@ FORMATIONS = [
         "nilpotent",
         "supersolvable",
         "p-groups:2",
+        "p-groups:3",
         "pi-groups:2,3",
+        "pi-groups:3,5",
         "p-nilpotent:2",
         "p-nilpotent:3",
+        "p-nilpotent:5",
         "metanilpotent",
         "nilpotent-length:1",
         "nilpotent-length:2",
+        "nilpotent-length:3",
     )
 ]
 
@@ -107,3 +114,38 @@ def test_nonsolvable_quotients_fail_the_length_bound():
     G = direct_product(a5, generate(2, ["(0 1)"]))
     assert nilpotent_length(G) is None
     assert_masks_match_quotients(G)
+
+
+@pytest.mark.parametrize("desc", ["nilpotent", "metanilpotent", "nilpotent-length:2", "p-nilpotent:2"])
+def test_thm54_on_c2_5_enumerates_no_lattice(monkeypatch, desc):
+    # C2^5 has 374 normal subgroups; chief series and residuals are closures
+    G = elementary_abelian_2(5)
+    calls = count_module_calls(monkeypatch, ("normal_subgroups",))
+    assert theorem_54_report(G, Formation.parse(desc))["summary"]["all_pass"]
+    assert calls["normal_subgroups"] == 0
+
+
+def test_closure_kinds_on_c2_6_enumerate_no_lattice(monkeypatch):
+    # C2^6 has 2 825 normal subgroups
+    G = elementary_abelian_2(6)
+    calls = count_module_calls(monkeypatch, ("normal_subgroups",))
+    for desc, order in (
+        ("nilpotent", 1),
+        ("p-groups:3", 64),
+        ("pi-groups:3,5", 64),
+        ("p-nilpotent:2", 1),
+        ("metanilpotent", 1),
+        ("nilpotent-length:2", 1),
+    ):
+        F = Formation.parse(desc)
+        assert residual(G, F).order() == order, desc
+        assert F.is_member(G) == (order == 1), desc
+    assert fitting_subgroup(G) is G
+    assert nilpotent_length(G) == 1
+    assert is_p_nilpotent(G, 2)
+    assert is_supersolvable(G)  # a chief walk of closures
+    assert calls["normal_subgroups"] == 0
+    # the one walk left: the supersolvable residual meets the masks of the lattice
+    S4 = generate(4, ["(0 1)", "(0 1 2 3)"])
+    assert residual(S4, Formation.parse("supersolvable")).order() == 4
+    assert calls["normal_subgroups"] == 1

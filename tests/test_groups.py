@@ -246,6 +246,11 @@ def test_chief_series_matches_oracle_on_products(pair):
     assert_chief_series_match_oracle(direct_product(*(catalog_group(n) for n in pair)))
 
 
+def test_chief_series_matches_oracle_on_c2_4():
+    # 67 normal subgroups, with ties in order at every step of the walk
+    assert_chief_series_match_oracle(generate(8, ["(0 1)", "(2 3)", "(4 5)", "(6 7)"]))
+
+
 def test_chief_series_bad_anchors_rejected(s4, d8, v4):
     c4 = generate(4, ["(0 1 2 3)"])
     klein = generate(4, ["(0 2)", "(1 3)"])

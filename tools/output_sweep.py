@@ -20,7 +20,10 @@ directory, which is the working directory of every command.  The two products
 of the ``ladder`` workload (seed 1) and the elementary abelian group C2^5,
 which has 374 normal subgroups, are written the same way; for each of them
 the sweep prints the canonical series and the head characters for each
-formation.
+formation.  The residual and the projector are also printed for one more
+descriptor per residual route (``ROUTE_FORMATIONS``) on the catalog, the
+``ladder`` products and C2^5, and the residual alone on A5, where the routes
+must hold for a nonsolvable group too.
 
 A few commands print a subgroup that is all of a solvable G (a residual or
 a projector equal to G, and ``verify thm-a --normal`` with N = G): they print
@@ -47,6 +50,11 @@ from formata.cli import run_command
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 FORMATIONS = ("nilpotent", "supersolvable", "metanilpotent", "nilpotent-length:2", "p-nilpotent:2")
+# one more descriptor per residual route: O^pi, O^p'(O^p) and gamma_inf iterated
+ROUTE_FORMATIONS = (
+    "p-groups:2", "p-groups:3", "pi-groups:2,3", "pi-groups:3,5",
+    "p-nilpotent:3", "p-nilpotent:5", "nilpotent-length:3",
+)
 REFUSAL_FILES = {"A5.grp": "degree 5\n(0 1 2 3 4)\n(0 1 2)\n", "trivial.grp": "degree 3\n"}
 C2_5 = ("C2^5.grp", "degree 10\n" + "".join("(%d %d)\n" % (i, i + 1) for i in range(0, 10, 2)))
 INVALID_FORMATIONS = ("p-groups:4", "pi-groups:", "nilpotent:3", "nilpotent-length:0")
@@ -118,6 +126,11 @@ def commands(products, lattice_groups):
         for formation in FORMATIONS:
             out.append(["series", name, "--formation", formation, "--json"])
             out.append(["headchars", name, "--formation", formation])
+    for formation in ROUTE_FORMATIONS:
+        for name in (*catalog_names(), *lattice_groups):
+            out.append(["residual", name, "--formation", formation])
+            out.append(["projector", name, "--formation", formation])
+        out.append(["residual", "A5.grp", "--formation", formation])
     for name in REFUSAL_FILES:
         for cmd in (["table"], *FORMATION_COMMANDS, ["verify", "thm-c"]):
             out.append([*cmd, name])
