@@ -43,7 +43,7 @@ from .cyclotomic import (
 )
 from .errors import InternalInconsistencyError
 from .gfq import charpoly_mod, nullspace_mod, poly_roots_mod, rref_mod
-from .groups import PermGroup, _class_matrix, is_prime, prime_divisors
+from .groups import _class_matrix, is_prime, mask_subgroup, prime_divisors
 
 
 def _row_keys(rows):
@@ -303,15 +303,13 @@ class ClassFunction:
     def is_invariant_under(self, H):
         return all(self.conjugate_by(t) == self for t in H.generators)
 
+    def kernel_mask(self):
+        """Class mask of the kernel: the classes whose value equals the degree, the value at class 0."""
+        return sum(1 << int(j) for j in np.flatnonzero((self.coeffs == self.coeffs[0]).all(axis=1)))
+
     def kernel(self):
         """Subgroup of elements where the value equals the degree."""
-        C = self.coeffs
-        same = (C == C[0]).all(axis=1)
-        elems = []
-        for j, cls in enumerate(self.group.conjugacy_classes()):
-            if same[j]:
-                elems.extend(cls.elements)
-        return PermGroup.from_elements(self.group, elems)
+        return mask_subgroup(self.group, self.kernel_mask())
 
     def constituents(self, table):
         """Pairs (index into table.irr, multiplicity > 0), exact."""

@@ -717,9 +717,9 @@ def normal_subgroups(G):
 
     The lattice can be exponentially large (C2^n has one normal subgroup per
     subspace of F_2^n), so it is enumerated only where a result lists normal
-    subgroups: the supersolvable residual, ``verify thm-a`` without
-    ``--normal``, and the kernel bound of Theorems B and C.  Every other
-    normal-subgroup question is a closure on the support.
+    subgroups: the supersolvable residual and ``verify thm-a`` without
+    ``--normal``.  Every other normal-subgroup question, the kernel bound of
+    Theorems B and C included, is a closure on the support.
     """
     if G._normals is None:
         support = class_support(G)

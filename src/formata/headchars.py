@@ -9,20 +9,18 @@ from .errors import (
 )
 from .formations import Formation, navarro_condition, projector, residual
 from .groups import (
-    PermGroup,
+    _class_closures,
+    _closure_mask,
+    _full_mask,
     h_composition_series,
     is_normal_in,
     is_prime,
-    normal_subgroups,
+    mask_subgroup,
     normalizer,
     quotient,
     subgroup_product,
     sylow,
 )
-
-
-def _trivial_subgroup(G):
-    return PermGroup.from_elements(G, [G.identity()])
 
 
 def _subgroup_json(U):
@@ -225,6 +223,11 @@ def unique_invariant_above(phi, G, K, L, H):
     )
 
 
+def _first_extension(chi, big):
+    """The first row of big's table that restricts to chi, or None: the witness extensions_of lists first."""
+    return next((psi for psi in character_table(big).irr if psi.restrict(chi.group) == chi), None)
+
+
 def extension_transfer_check(G, K, L, F, theta, phi):
     """Whether extensions of theta to G and of phi to LH lie over one another."""
     H = projector(G, F)
@@ -328,14 +331,13 @@ def strong_series_for(chi, G, F, series=None):
             thetas[i - 1] = unique_invariant_below(thetas[i], SH, S, T, H)
     witnesses = []
     for i, S in enumerate(series):
-        SH = subgroup_product(S, H)
-        exts = extensions_of(thetas[i], SH)
-        if not exts:
+        ext = _first_extension(thetas[i], subgroup_product(S, H))
+        if ext is None:
             raise NoStrongSeriesError(
                 "no strong series: the character at the order-%d term does not extend"
                 % S.order()
             )
-        witnesses.append(exts[0])
+        witnesses.append(ext)
     return PairSeries(zip(series, thetas), H, True, witnesses)
 
 
@@ -373,16 +375,16 @@ def fprime_descending_test(chi, G, F):
     for i in range(cs.m):
         K, L = cs.pairs[i]
         KH = cs.level(i)
-        if i > 0 and not extensions_of(theta, KH):
+        if i > 0 and _first_extension(theta, KH) is None:
             return verdict("theta_%d does not extend to K_%dH" % (i, i))
         phi = unique_invariant_below(theta, KH, K, L, H)
         LH = cs.level(i + 1)
-        if not extensions_of(phi, LH):
+        if _first_extension(phi, LH) is None:
             return verdict("phi_%d does not extend to L_%dH" % (i, i))
         chain.append({"level": "L%d" % i, "order": L.order(), "character": phi})
         # the link (phi_i)|_{K_{i+1}} = theta_{i+1} must produce an irreducible
         # character; at the last layer K_m = 1 this forces phi_{m-1} linear
-        nextK = cs.pairs[i + 1][0] if i + 1 < cs.m else _trivial_subgroup(G)
+        nextK = cs.pairs[i + 1][0] if i + 1 < cs.m else mask_subgroup(G, 1)
         theta = phi.restrict(nextK)
         if not theta.is_irreducible():
             return verdict("restriction of phi_%d to K_%d is reducible" % (i, i + 1))
@@ -402,14 +404,14 @@ def gallagher_family(gamma, N):
 
 
 def _linear_over(U, N):
-    """The linear characters of U whose kernel contains N, memoized on U."""
+    """The linear characters of U whose kernel mask holds the classes of N's generators, memoized on U."""
 
     def compute():
-        nset = N.element_set()
+        classes = [U.class_of(g) for g in N.generators]
         return tuple(
             lam
             for lam in character_table(U).linear_characters()
-            if nset <= lam.kernel().element_set()
+            if all(lam.kernel_mask() >> j & 1 for j in classes)
         )
 
     return U.memo(("gallagher", U, N), compute)
@@ -492,22 +494,27 @@ def theorem_a_report(G, F, N):
 def _kernel_bound(G, chars, X, Y):
     """The meet of the kernels of chars, set against the normal N of G with N meet X <= Y.
 
-    Returns the meet, the qualifying N in lattice order, and the witnesses of
-    Theorems B and C: the meet equals the largest qualifying N, which
-    contains every other one.
+    Both are class masks of G; no normal subgroup is enumerated.  N qualifies
+    iff it misses ``bad``, the classes that meet X - Y, so a class lies in a
+    qualifying N iff its normal closure qualifies, and the join J of every
+    qualifying N is the closure of those classes.  Returns the meet, whether
+    J lies in it, and the witnesses of Theorems B and C: J qualifies, so it
+    is the largest qualifying N, and it equals the meet.  When J does not
+    qualify there is no largest one, and ``largest_normal`` names J.
     """
-    kernels = [chi.kernel().element_set() for chi in chars]
-    meet = PermGroup.from_elements(G, frozenset.intersection(*kernels))
-    xset, yset = X.element_set(), Y.element_set()
-    qualifying = [N for N in normal_subgroups(G) if N.element_set() & xset <= yset]
-    largest = max(qualifying, key=lambda N: N.order())
-    return meet, qualifying, {
-        "kernel_intersection": _subgroup_json(meet),
-        "kernel_intersection_order": meet.order(),
+    meet = _full_mask(G)
+    for chi in chars:
+        meet &= chi.kernel_mask()
+    bad = sum(1 << i for i in {G.class_of(x) for x in X.elements() if not Y.contains(x)})
+    join = _closure_mask(G, (i for i, c in enumerate(_class_closures(G)) if not c & bad))
+    M, largest = mask_subgroup(G, meet), mask_subgroup(G, join)
+    return M, join & meet == join, {
+        "kernel_intersection": _subgroup_json(M),
+        "kernel_intersection_order": M.order(),
         "largest_normal": _subgroup_json(largest),
         "largest_normal_order": largest.order(),
-        "equal": meet is largest,
-        "qualifying_closed_under_join": all(N.is_subgroup_of(largest) for N in qualifying),
+        "equal": M is largest,
+        "qualifying_closed_under_join": not join & bad,
     }
 
 
@@ -515,8 +522,8 @@ def theorem_b_report(G, F):
     """Intersection of head character kernels against the largest normal M."""
     H = projector(G, F)
     heads = fprime_ascending(G, F)
-    meet, qualifying, witnesses = _kernel_bound(G, heads, H, H.derived_subgroup())
-    witnesses["kernel_lemma"] = all(N.is_subgroup_of(meet) for N in qualifying)
+    meet, lemma, witnesses = _kernel_bound(G, heads, H, H.derived_subgroup())
+    witnesses["kernel_lemma"] = lemma
     Q, gmap = quotient(G, meet)
     heads_q = fprime_ascending(Q, F)
     deflated = [deflate(chi, gmap) for chi in heads]

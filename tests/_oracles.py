@@ -26,6 +26,7 @@ from formata.groups import (
     prime_divisors,
     quotient,
 )
+from formata.headchars import _subgroup_json
 
 
 def brute_elements(degree, gens):
@@ -674,6 +675,28 @@ def oracle_gallagher_family(gamma, N):
         if prod not in out:
             out.append(prod)
     return out
+
+
+def oracle_kernel_bound(G, chars, X, Y):
+    """The meet of the kernels of chars, set against the normal N of G with N meet X <= Y.
+
+    Returns the meet, the qualifying N in lattice order, and the witnesses of
+    Theorems B and C: the meet equals the largest qualifying N, which
+    contains every other one.
+    """
+    kernels = [chi.kernel().element_set() for chi in chars]
+    meet = PermGroup.from_elements(G, frozenset.intersection(*kernels))
+    xset, yset = X.element_set(), Y.element_set()
+    qualifying = [N for N in normal_subgroups(G) if N.element_set() & xset <= yset]
+    largest = max(qualifying, key=lambda N: N.order())
+    return meet, qualifying, {
+        "kernel_intersection": _subgroup_json(meet),
+        "kernel_intersection_order": meet.order(),
+        "largest_normal": _subgroup_json(largest),
+        "largest_normal_order": largest.order(),
+        "equal": meet is largest,
+        "qualifying_closed_under_join": all(N.is_subgroup_of(largest) for N in qualifying),
+    }
 
 
 # -- the projector recursion on roots of its own --------------------------------

@@ -36,15 +36,15 @@ def elementary_abelian_2(n):
     return generate(2 * n, ["(%d %d)" % (i, i + 1) for i in range(0, 2 * n, 2)])
 
 
-def benchmark_products():
-    """The ``tables`` and ``ladder`` benchmark products at seed 1, G75xC2 and 2S4xC3 included."""
+def benchmark_products(names=("tables", "ladder")):
+    """The benchmark products of these workloads at seed 1; ``tables`` includes G75xC2 and 2S4xC3."""
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     catalog = {e.name: (e.degree, e.words) for e in load_catalog()}
     return [
         (label, generate(degree, words))
-        for workload in ("tables", "ladder")
+        for workload in names
         for label, (degree, words) in workloads.make_inputs(workload, 1, catalog).items()
     ]
 

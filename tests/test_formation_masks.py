@@ -28,7 +28,7 @@ from formata.groups import (
     normal_subgroups,
     quotient,
 )
-from formata.headchars import theorem_54_report
+from formata.headchars import theorem_54_report, theorem_b_report, theorem_c_report
 from test_bench_contract import count_module_calls
 from test_class_support import elementary_abelian_2
 
@@ -144,8 +144,39 @@ def test_closure_kinds_on_c2_6_enumerate_no_lattice(monkeypatch):
     assert nilpotent_length(G) == 1
     assert is_p_nilpotent(G, 2)
     assert is_supersolvable(G)  # a chief walk of closures
+    # the kernel bound of Theorems B and C is a closure too: only N = 1 qualifies
+    assert theorem_b_report(G, Formation("nilpotent"))["summary"] == {"all_pass": True, "M_order": 1}
+    assert theorem_c_report(G, 2)["summary"] == {"all_pass": True, "K_order": 1}
     assert calls["normal_subgroups"] == 0
     # the one walk left: the supersolvable residual meets the masks of the lattice
     S4 = generate(4, ["(0 1)", "(0 1 2 3)"])
     assert residual(S4, Formation.parse("supersolvable")).order() == 4
     assert calls["normal_subgroups"] == 1
+
+
+def test_closure_kinds_on_s4_s4_s3_enumerate_no_lattice(monkeypatch):
+    # S4 x S4 x S3 (order 3456) has 61 normal subgroups
+    G = direct_product(catalog_group("S4"), catalog_group("S4"), catalog_group("S3"))
+    calls = count_module_calls(monkeypatch, ("normal_subgroups",))
+    for desc, order in (
+        ("nilpotent", 432),
+        ("p-groups:2", 432),
+        ("p-groups:3", 3456),
+        ("pi-groups:2,3", 1),
+        ("pi-groups:3,5", 3456),
+        ("p-nilpotent:2", 16),
+        ("p-nilpotent:3", 432),
+        ("p-nilpotent:5", 1),
+        ("metanilpotent", 16),
+        ("nilpotent-length:1", 432),
+        ("nilpotent-length:2", 16),
+        ("nilpotent-length:3", 1),
+    ):
+        F = Formation.parse(desc)
+        assert residual(G, F).order() == order, desc
+        assert F.is_member(G) == (order == 1), desc
+    assert fitting_subgroup(G).order() == 48
+    assert nilpotent_length(G) == 3
+    assert theorem_c_report(G, 2)["summary"] == {"all_pass": True, "K_order": 3}
+    assert theorem_c_report(G, 3)["summary"] == {"all_pass": True, "K_order": 16}
+    assert calls["normal_subgroups"] == 0

@@ -19,9 +19,10 @@ They are written as group files with stable names into a temporary working
 directory, which is the working directory of every command.  The two products
 of the ``ladder`` workload (seed 1) and the elementary abelian group C2^5,
 which has 374 normal subgroups, are written the same way; for each of them
-the sweep prints the canonical series and the head characters for each
-formation.  The residual and the projector are also printed for one more
-descriptor per residual route (``ROUTE_FORMATIONS``) on the catalog, the
+the sweep prints the canonical series, the head characters and ``verify
+thm-b`` (text and JSON) for each formation, and ``verify thm-c`` for every
+prime of the order.  The residual and the projector are also printed for one
+more descriptor per residual route (``ROUTE_FORMATIONS``) on the catalog, the
 ``ladder`` products and C2^5, and the residual alone on A5, where the routes
 must hold for a nonsolvable group too.
 
@@ -126,6 +127,10 @@ def commands(products, lattice_groups):
         for formation in FORMATIONS:
             out.append(["series", name, "--formation", formation, "--json"])
             out.append(["headchars", name, "--formation", formation])
+            for form in ([], ["--json"]):
+                out.append(["verify", "thm-b", name, "--formation", formation, *form])
+        out.append(["verify", "thm-c", name])
+        out.append(["verify", "thm-c", name, "--json"])
     for formation in ROUTE_FORMATIONS:
         for name in (*catalog_names(), *lattice_groups):
             out.append(["residual", name, "--formation", formation])
