@@ -14,6 +14,15 @@ these matrices with the cached reduction, fold, embedding and descent
 matrices of ``cyclotomic``, the same kernels ``Cyclotomic`` computes with;
 ``Cyclotomic`` values are the per-value view, built on first use.
 
+Restriction and conjugation are row gathers by class maps built once and
+kept in the memo of a root: the fusion map of a subgroup into a group under
+the subgroup's root, the class permutation of a conjugating element under the
+group's.  A class function keeps its embedding into each larger conductor.
+``inner_products`` computes all inner products of two lists of class
+functions on one group with one matrix product, of which
+``ClassFunction.inner`` is the 1 x 1 case; Theorem A's constituent sweeps
+are one such product per report.
+
 Integer kernels run in int64 only while an explicit bound on every entry and
 partial sum, stated at each kernel, stays below 2^63; past it the same numpy
 code runs on Python ints (object dtype).
@@ -124,7 +133,7 @@ class ClassFunction:
     same data as a tuple of ``Cyclotomic``, built on first use.
     """
 
-    __slots__ = ("group", "e", "coeffs", "den", "_values", "_coeff_height")
+    __slots__ = ("group", "e", "coeffs", "den", "_values", "_coeff_height", "_embedded")
 
     def __init__(self, group, values):
         vals = tuple(v if isinstance(v, Cyclotomic) else Cyclotomic.rational(v) for v in values)
@@ -154,6 +163,7 @@ class ClassFunction:
         self.den = den
         self._values = None
         self._coeff_height = None
+        self._embedded = None
 
     def height(self):
         """Bound on the entries of ``coeffs``: their largest, once, or for ``_rows`` the source's."""
@@ -180,11 +190,17 @@ class ClassFunction:
         return self._value(self.group.class_of(g))
 
     def _over(self, m):
-        """(coefficient matrix, its height) over Q(zeta_m), for a multiple m of the conductor."""
+        """(coefficient matrix, its height) over Q(zeta_m), for a multiple m of the conductor, kept per m."""
         if m == self.e:
             return self.coeffs, self.height()
-        X = _embed(self.coeffs, self.e, m)
-        return X, _height(X)
+        if self._embedded is None:
+            self._embedded = {}
+        got = self._embedded.get(m)
+        if got is None:
+            X = _embed(self.coeffs, self.e, m)
+            X.flags.writeable = False
+            got = self._embedded[m] = (X, _height(X))
+        return got
 
     def _rows(self, idx, group):
         """The class function on group whose class j has self's value at class idx[j]."""
@@ -251,32 +267,27 @@ class ClassFunction:
     __rmul__ = __mul__
 
     def inner(self, other):
-        """Standard inner product (1/|G|) sum |C| chi(g) psi(g)-bar, exact.
-
-        With A, B the coefficient matrices over the common conductor e and s the
-        class sizes, M = A^T diag(s) B holds the coefficient of z^a * z^-b at
-        (a, b); folding a - b mod e and reducing mod Phi_e is one product with
-        the cached matrix _fold(e, -1).  Every partial sum is at most
-        phi(e)^2 * |G| * height(A) * height(B) * height(R_e) in absolute value.
-        """
+        """Standard inner product (1/|G|) sum |C| chi(g) psi(g)-bar, exact: the 1 x 1 case of ``_gram``."""
         G = self.group
         e, A, hA, B, hB = self._common(other)
-        f = A.shape[1]
-        sizes = G.class_sizes()
-        bound = f * f * G.order() * hA * hB * _reduction_height(e)
-        A, B, sizes = _widen(bound, A, B, sizes)
-        M = (A * sizes[:, None]).T @ B
-        r = M.reshape(-1) @ _fold(e, -1)
-        return _cyclotomic(e, tuple(int(x) for x in r), G.order() * self.den * other.den)
+        r = _gram(G, e, A, hA, B, hB, 1, 1)[0, 0]
+        return _cyclotomic(e, tuple(r.tolist()), G.order() * self.den * other.den)
 
     def is_irreducible(self):
         v = self.inner(self)
         return v.is_rational() and v.as_fraction() == 1
 
     def restrict(self, sub):
-        """Restriction to a subgroup of the same ambient symmetric group."""
-        idx = [self.group.class_of(c.rep) for c in sub.conjugacy_classes()]
-        return self._rows(idx, sub)
+        """Restriction to a subgroup of the same ambient symmetric group, by its fusion map.
+
+        The fusion map, from sub's classes to this group's classes, is built
+        once and kept in the memo of sub's root.
+        """
+        G = self.group
+        fusion = sub.memo(
+            ("fusion", sub, G), lambda: _class_map(G.class_of(c.rep) for c in sub.conjugacy_classes())
+        )
+        return self._rows(fusion, sub)
 
     def induce(self, big):
         """Induced class function on an overgroup containing this group."""
@@ -294,11 +305,18 @@ class ClassFunction:
         return ClassFunction._from_coeffs(big, self.e, acc * mult, self.den * den)
 
     def conjugate_by(self, t):
-        """The class function x -> self(t x t^-1); t must normalize the group."""
-        ti = t.inverse()
+        """The class function x -> self(t x t^-1); t must normalize the group.
+
+        The class permutation of t does not depend on the class function; it
+        is built once and kept in the memo of the group's root.
+        """
         G = self.group
-        idx = [G.class_of(cls.rep.conj(ti)) for cls in G.conjugacy_classes()]
-        return self._rows(idx, G)
+
+        def compute():
+            ti = t.inverse()
+            return _class_map(G.class_of(cls.rep.conj(ti)) for cls in G.conjugacy_classes())
+
+        return self._rows(G.memo(("class_conj", G, t), compute), G)
 
     def is_invariant_under(self, H):
         return all(self.conjugate_by(t) == self for t in H.generators)
@@ -324,6 +342,52 @@ class ClassFunction:
                     raise InternalInconsistencyError("bad multiplicity %s" % mf)
                 out.append((i, mf.numerator))
         return out
+
+
+def _class_map(indices):
+    """A map between class lists, as a read-only index array."""
+    idx = np.fromiter(indices, dtype=np.intp)
+    idx.flags.writeable = False
+    return idx
+
+
+def _gram(G, e, A, hA, B, hB, na, nb):
+    """Coefficients of the inner products of na stacked class functions with nb, over Q(zeta_e).
+
+    A is the (k, na * phi(e)) matrix of the first functions side by side, of
+    height at most hA, and B likewise.  With s the class sizes, M = A^T
+    diag(s) B holds at block (i, j) the coefficient of z^a * z^-b at (a, b);
+    folding a - b mod e and reducing mod Phi_e is one product with the cached
+    matrix _fold(e, -1).  Returns the (na, nb, phi(e)) integer array; entry
+    (i, j) is |G| den_i den_j times the inner product of functions i and j.
+    Every partial sum is at most phi(e)^2 * |G| * hA * hB * height(R_e) in
+    absolute value.
+    """
+    f = phi(e)
+    A, B, sizes = _widen(f * f * G.order() * hA * hB * _reduction_height(e), A, B, G.class_sizes())
+    M = ((A * sizes[:, None]).T @ B).reshape(na, f, nb, f)
+    return M.transpose(0, 2, 1, 3).reshape(na, nb, f * f) @ _fold(e, -1)
+
+
+def inner_products(rows, cols):
+    """All inner products of rows with cols, class functions on one group, in one product.
+
+    Returns (e, P): P[i, j] holds the power-basis coefficients over
+    Q(zeta_e), e the lcm of every conductor, of |G| den_i den_j times the
+    inner product of rows[i] with cols[j]; it is zero exactly when that
+    inner product is.
+    """
+    e = lcm(*(chi.e for chi in rows), *(psi.e for psi in cols))
+    if not rows or not cols:
+        return e, np.zeros((len(rows), len(cols), phi(e)), dtype=np.int64)
+    A = [chi._over(e) for chi in rows]
+    B = [psi._over(e) for psi in cols]
+    return e, _gram(
+        rows[0].group, e,
+        np.concatenate([X for X, _ in A], axis=1), max(h for _, h in A),
+        np.concatenate([X for X, _ in B], axis=1), max(h for _, h in B),
+        len(rows), len(cols),
+    )
 
 
 class CharacterTable:
@@ -399,6 +463,10 @@ def _split_spaces(G, q):
                 nxt.append((B, piv))
                 continue
             C = ((A @ B.T) % q)[piv, :]
+            if np.array_equal(C, C[0, 0] * np.eye(d, dtype=np.int64)):
+                # C is diagonalizable over GF(q), so a scalar C has one eigenspace: the whole space
+                nxt.append((B, piv))
+                continue
             roots = poly_roots_mod(charpoly_mod(C, q), q)
             total = 0
             for lam in roots:

@@ -1,6 +1,6 @@
 """Canonical series, head characters, strong pair series, and theorem reports."""
 
-from .characters import character_table, deflate, extensions_of
+from .characters import character_table, deflate, extensions_of, inner_products
 from .errors import (
     DomainError,
     InternalInconsistencyError,
@@ -223,6 +223,14 @@ def unique_invariant_above(phi, G, K, L, H):
     )
 
 
+def _row_of(irr, chi):
+    """The index of chi among the rows irr of a table, by identity; chi must be one of them."""
+    for i, row in enumerate(irr):
+        if row is chi:
+            return i
+    raise InternalInconsistencyError("character is not a row of its table")
+
+
 def _first_extension(chi, big):
     """The first row of big's table that restricts to chi, or None: the witness extensions_of lists first."""
     return next((psi for psi in character_table(big).irr if psi.restrict(chi.group) == chi), None)
@@ -241,17 +249,17 @@ def extension_transfer_check(G, K, L, F, theta, phi):
     irr_g = character_table(G).irr
     irr_lh = character_table(LH).irr
     # over[a][b]: chis[a] lies over etas[b]; each list reads its first witness from it
-    over = [[not rest.inner(eta).is_zero() for eta in etas] for rest in (chi.restrict(LH) for chi in chis)]
+    over = inner_products([chi.restrict(LH) for chi in chis], etas)[1].any(axis=2)
     upward = []
     for b, eta in enumerate(etas):
         a = next((a for a in range(len(chis)) if over[a][b]), None)
-        witness = None if a is None else irr_g.index(chis[a])
-        upward.append({"eta": irr_lh.index(eta), "pass": a is not None, "chi": witness})
+        witness = None if a is None else _row_of(irr_g, chis[a])
+        upward.append({"eta": _row_of(irr_lh, eta), "pass": a is not None, "chi": witness})
     downward = []
     for a, chi in enumerate(chis):
         b = next((b for b in range(len(etas)) if over[a][b]), None)
-        witness = None if b is None else irr_lh.index(etas[b])
-        downward.append({"chi": irr_g.index(chi), "pass": b is not None, "eta": witness})
+        witness = None if b is None else _row_of(irr_lh, etas[b])
+        downward.append({"chi": _row_of(irr_g, chi), "pass": b is not None, "eta": witness})
     ok = all(entry["pass"] for entry in upward + downward)
     if hyp["met"] and not ok:
         raise InternalInconsistencyError("extension transfer failed under the hypothesis")
@@ -394,13 +402,17 @@ def fprime_descending_test(chi, G, F):
 
 
 def gallagher_family(gamma, N):
-    """Twists of gamma by the linear characters trivial on N."""
-    out = []
+    """Twists of gamma by the linear characters trivial on N, in first-seen order.
+
+    Every twist lives on gamma's group over one conductor, where a class
+    function is its denominator and coefficient matrix, so that is the exact
+    key for dropping repeats.
+    """
+    out = {}
     for lam in _linear_over(gamma.group, N):
         prod = lam * gamma
-        if prod not in out:
-            out.append(prod)
-    return out
+        out.setdefault((prod.e, prod.den, tuple(prod.coeffs.ravel().tolist())), prod)
+    return list(out.values())
 
 
 def _linear_over(U, N):
@@ -451,10 +463,17 @@ def theorem_a_report(G, F, N):
     irr_g = character_table(G).irr
     irr_n = character_table(N).irr
     h_invariant = [th for th in irr_n if th.is_invariant_under(H)]
+    # meets[a, b]: the restriction of heads[a] to N has h_invariant[b] as a constituent
+    meets = inner_products([chi.restrict(N) for chi in heads], h_invariant)[1].any(axis=2)
+    invs = [[th for th, m in zip(h_invariant, row) if m] for row in meets]
+    # under[a]: the heads of NH that heads[a] restricted to NH lies over, where part (c) is checked
+    checked = [a for a, inv in enumerate(invs) if len(inv) == 1] if hyp["met"] else []
+    if checked:
+        heads_nh = fprime_ascending(NH, F)
+        over = inner_products([heads[a].restrict(NH) for a in checked], heads_nh)[1].any(axis=2)
+        under = {a: [g for g, m in zip(heads_nh, row) if m] for a, row in zip(checked, over)}
     instances = []
-    for chi in heads:
-        rest = chi.restrict(N)
-        inv = [th for th in h_invariant if not rest.inner(th).is_zero()]
+    for a, (chi, inv) in enumerate(zip(heads, invs)):
         part_a = len(inv) == 1
         witnesses = {"part_a": part_a, "invariant_constituents": len(inv)}
         part_b = False
@@ -464,26 +483,23 @@ def theorem_a_report(G, F, N):
             d_chi = chi.degree().as_int()
             d_theta = theta.degree().as_int()
             part_b = d_chi % d_theta == 0 and index % (d_chi // d_theta) == 0
-            witnesses["theta"] = irr_n.index(theta)
+            witnesses["theta"] = _row_of(irr_n, theta)
             witnesses["ratio"] = d_chi // d_theta if d_chi % d_theta == 0 else None
             witnesses["index_of_NH"] = index
             if hyp["met"]:
-                heads_nh = fprime_ascending(NH, F)
-                rest_nh = chi.restrict(NH)
-                under = [g for g in heads_nh if not rest_nh.inner(g).is_zero()]
-                gammas = [g for g in under if g.restrict(N) == theta]
+                gammas = [g for g in under[a] if g.restrict(N) == theta]
                 ok = bool(gammas)
                 gamma_row = None
                 if ok:
                     gamma = gammas[0]
-                    gamma_row = character_table(NH).irr.index(gamma)
+                    gamma_row = _row_of(character_table(NH).irr, gamma)
                     family = gallagher_family(gamma, N)
-                    ok = all(d in family for d in under)
+                    ok = all(d in family for d in under[a])
                 part_c = {"checked": True, "pass": ok, "gamma": gamma_row}
         witnesses["part_b"] = part_b
         witnesses["part_c"] = part_c
         ok_all = part_a and part_b and (not part_c["checked"] or part_c["pass"])
-        inputs = {"character": irr_g.index(chi), "normal": _subgroup_json(N)}
+        inputs = {"character": _row_of(irr_g, chi), "normal": _subgroup_json(N)}
         instances.append(instance(inputs, ok_all, witnesses))
     return report(
         "A", G, F, instances,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+from operator import itemgetter
 
 from .errors import CycleParseError, DomainError
 
@@ -46,7 +47,10 @@ class Perm:
         a, b = self.images, other.images
         if len(a) != len(b):
             raise DomainError("degree mismatch in permutation product")
-        return Perm._make(tuple(b[i] for i in a))
+        if len(a) < 2:
+            # the identity is the only permutation, and itemgetter needs two indices to return a tuple
+            return other
+        return Perm._make(itemgetter(*a)(b))
 
     def inverse(self):
         inv = [0] * len(self.images)

@@ -11,12 +11,14 @@ from math import gcd, lcm
 
 import numpy as np
 
-from formata.characters import character_table
+from formata.characters import ClassFunction, character_table
 from formata.cyclotomic import Cyclotomic, cyclotomic_poly, phi
 from formata.perms import Perm
 from formata.errors import DomainError, InternalInconsistencyError
+from formata.gfq import charpoly_mod, nullspace_mod, poly_roots_mod, rref_mod
 from formata.groups import (
     PermGroup,
+    _class_matrix,
     closure_elements,
     complement,
     is_normal_in,
@@ -449,6 +451,54 @@ def oracle_inner(chi, psi):
         term = oracle_mul(oracle_pair(chi.values[j]), oracle_galois(oracle_pair(psi.values[j]), -1))
         acc = oracle_add(acc, oracle_scale(term, cls.size))
     return Cyclotomic(*oracle_scale(acc, Fraction(1, chi.group.order())))
+
+
+def oracle_restrict(chi, sub):
+    """Restriction with the fusion map rebuilt from class_of on every class representative."""
+    idx = [chi.group.class_of(c.rep) for c in sub.conjugacy_classes()]
+    return ClassFunction._from_coeffs(sub, chi.e, chi.coeffs[idx], chi.den)
+
+
+def oracle_conjugate_by(chi, t):
+    """x -> chi(t x t^-1), with the class permutation of t rebuilt for this one function."""
+    ti = t.inverse()
+    G = chi.group
+    idx = [G.class_of(cls.rep.conj(ti)) for cls in G.conjugacy_classes()]
+    return ClassFunction._from_coeffs(G, chi.e, chi.coeffs[idx], chi.den)
+
+
+def oracle_split_spaces(G, q):
+    """Dixon's split with an eigenspace search on every action, the scalar ones included."""
+    classes = G.conjugacy_classes()
+    k = len(classes)
+    spaces = [(np.eye(k, dtype=np.int64), np.arange(k))]
+    for i in range(1, k):
+        if all(B.shape[0] == 1 for B, _ in spaces):
+            break
+        A = _class_matrix(G, i)
+        nxt = []
+        for B, piv in spaces:
+            d = B.shape[0]
+            if d == 1:
+                nxt.append((B, piv))
+                continue
+            C = ((A @ B.T) % q)[piv, :]
+            roots = poly_roots_mod(charpoly_mod(C, q), q)
+            total = 0
+            for lam in roots:
+                N = nullspace_mod((C - lam * np.eye(d, dtype=np.int64)) % q, q)
+                if N.shape[0] == 0:
+                    continue
+                W = (N @ B) % q
+                R, p2 = rref_mod(W, q)
+                nxt.append((R[: len(p2)], p2))
+                total += len(p2)
+            if total != d:
+                raise InternalInconsistencyError("eigenspace dimensions do not add up")
+        spaces = nxt
+    if any(B.shape[0] != 1 for B, _ in spaces):
+        raise InternalInconsistencyError("class matrices failed to split the space")
+    return [B[0] for B, _ in spaces]
 
 
 def oracle_lift(G, c_mod, d, q, z, e, power_cache):

@@ -21,7 +21,10 @@ of the ``ladder`` workload (seed 1) and the elementary abelian group C2^5,
 which has 374 normal subgroups, are written the same way; for each of them
 the sweep prints the canonical series, the head characters and ``verify
 thm-b`` (text and JSON) for each formation, and ``verify thm-c`` for every
-prime of the order.  The residual and the projector are also printed for one
+prime of the order.  On the two ``ladder`` products it also prints ``verify
+thm-a`` (text and JSON) for each formation, over every normal subgroup: that
+restricts each head character to each normal subgroup of tables larger than
+the catalog's.  The residual and the projector are also printed for one
 more descriptor per residual route (``ROUTE_FORMATIONS``) on the catalog, the
 ``ladder`` products and C2^5, and the residual alone on A5, where the routes
 must hold for a nonsolvable group too.
@@ -87,7 +90,7 @@ def write_group_files():
     """The refusal files and the benchmark and C2^5 groups, in the working directory.
 
     Returns the names of the ``tables`` product files and of the ``ladder``
-    product files followed by C2^5.
+    product files.
     """
     for name, text in (*REFUSAL_FILES.items(), C2_5):
         with open(name, "w", encoding="utf-8") as fh:
@@ -103,10 +106,11 @@ def write_group_files():
             with open(label + ".grp", "w", encoding="utf-8") as fh:
                 fh.write("degree %d\n%s\n" % (degree, "\n".join(words)))
             names[workload].append(label + ".grp")
-    return names["tables"], names["ladder"] + [C2_5[0]]
+    return names["tables"], names["ladder"]
 
 
-def commands(products, lattice_groups):
+def commands(products, ladder):
+    lattice_groups = [*ladder, C2_5[0]]
     out = []
     for name in catalog_names():
         for formation in FORMATIONS:
@@ -131,6 +135,10 @@ def commands(products, lattice_groups):
                 out.append(["verify", "thm-b", name, "--formation", formation, *form])
         out.append(["verify", "thm-c", name])
         out.append(["verify", "thm-c", name, "--json"])
+    for name in ladder:
+        for formation in FORMATIONS:
+            for form in ([], ["--json"]):
+                out.append(["verify", "thm-a", name, "--formation", formation, *form])
     for formation in ROUTE_FORMATIONS:
         for name in (*catalog_names(), *lattice_groups):
             out.append(["residual", name, "--formation", formation])
