@@ -133,7 +133,7 @@ class ClassFunction:
     same data as a tuple of ``Cyclotomic``, built on first use.
     """
 
-    __slots__ = ("group", "e", "coeffs", "den", "_values", "_coeff_height", "_embedded")
+    __slots__ = ("group", "e", "coeffs", "den", "_values", "_coeff_height", "_embedded", "_irreducible")
 
     def __init__(self, group, values):
         vals = tuple(v if isinstance(v, Cyclotomic) else Cyclotomic.rational(v) for v in values)
@@ -164,6 +164,7 @@ class ClassFunction:
         self._values = None
         self._coeff_height = None
         self._embedded = None
+        self._irreducible = None
 
     def height(self):
         """Bound on the entries of ``coeffs``: their largest, once, or for ``_rows`` the source's."""
@@ -274,8 +275,10 @@ class ClassFunction:
         return _cyclotomic(e, tuple(r.tolist()), G.order() * self.den * other.den)
 
     def is_irreducible(self):
-        v = self.inner(self)
-        return v.is_rational() and v.as_fraction() == 1
+        if self._irreducible is None:
+            v = self.inner(self)
+            self._irreducible = v.is_rational() and v.as_fraction() == 1
+        return self._irreducible
 
     def restrict(self, sub):
         """Restriction to a subgroup of the same ambient symmetric group, by its fusion map.

@@ -3,8 +3,8 @@
 A formation here is one of a fixed family of descriptors (nilpotent,
 supersolvable, p-groups, pi-groups, p-nilpotent, metanilpotent, bounded
 nilpotent length).  All of these are saturated, so projectors exist in every
-finite solvable group and are computed by the usual minimal-normal-subgroup
-recursion with a complement step at the bottom.
+finite solvable group; the usual minimal-normal-subgroup recursion, with a
+complement step at the bottom, finds one, and its least conjugate is returned.
 
 Residuals and membership are decided on G's class masks, by closures on its
 class support (``groups.class_support``), and no quotient group is built.
@@ -34,6 +34,7 @@ from .groups import (
     intersection,
     is_normal_in,
     is_prime,
+    least_conjugate,
     lower_central_mask,
     mask_subgroup,
     minimal_normal_subgroups,
@@ -217,9 +218,9 @@ def require_solvable(G):
 
 
 def projector(G, formation):
-    """A formation projector, deterministic; requires a solvable group."""
+    """The projector least of its conjugates by sort_key, so it depends on G and F alone; needs G solvable."""
     require_solvable(G)
-    return G.memo(("projector", G, formation.key()), lambda: _projector_rec(G, formation))
+    return G.memo(("projector", G, formation.key()), lambda: least_conjugate(G, _projector_rec(G, formation)))
 
 
 def _projector_rec(G, formation):

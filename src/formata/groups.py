@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import os
-import random
 from dataclasses import dataclass
 from itertools import product as iproduct
 
@@ -952,18 +951,12 @@ def _coset_action(G, N):
 # -- complements --------------------------------------------------------------
 
 
-# seeded random lift tuples tried before the exhaustive search; the seed fixes
-# which complement is found
-COMPLEMENT_SEED = 20240801
-COMPLEMENT_ATTEMPTS = 512
-
-
 def complement(G, A):
     """A complement to the abelian normal subgroup A, or None (certified).
 
-    Tries seeded random lift tuples first, then enumerates all lift tuples
-    (one element from each generator coset), which is exhaustive: a complement
-    is generated by its unique lift tuple.
+    Enumerates the lift tuples (one element from each generator coset) in
+    order, which is exhaustive: a complement is generated by its unique lift
+    tuple.  ``projector`` prints the least conjugate of what is found.
     """
     if not is_normal_in(A, G):
         raise DomainError("complement requires a normal subgroup")
@@ -976,27 +969,24 @@ def complement(G, A):
         return PermGroup.from_elements(G, [G.identity()])
     aelts = sorted(A.element_set())
     cosets = [sorted(a * g for a in aelts) for g in _greedy_generators(G.degree, G.elements())]
-
-    def try_tuple(lifts):
+    for lifts in iproduct(*cosets):
         members = closure_elements(G.degree, lifts, cap=G.order() + 1)
         if len(members) == index:
             C = PermGroup.from_elements(G, members)
             if intersection(C, A).order() != 1:
                 raise InternalInconsistencyError("complement intersects kernel")
             return C
-        return None
-
-    rng = random.Random(COMPLEMENT_SEED)
-    for _ in range(COMPLEMENT_ATTEMPTS):
-        lifts = [coset[rng.randrange(len(coset))] for coset in cosets]
-        C = try_tuple(lifts)
-        if C is not None:
-            return C
-    for lifts in iproduct(*cosets):
-        C = try_tuple(list(lifts))
-        if C is not None:
-            return C
     return None
+
+
+def least_conjugate(G, U):
+    """The conjugate of U <= G with the least sort_key, interned under G's root; one g per coset N_G(U)g."""
+    norm, seen, conjugates = normalizer(G, U).elements(), set(), []
+    for g in G.elements():
+        if g not in seen:
+            seen.update(n * g for n in norm)
+            conjugates.append(sorted(u.conj(g) for u in U.elements()))
+    return PermGroup.from_elements(G, min(conjugates))
 
 
 # -- H-composition series -----------------------------------------------------

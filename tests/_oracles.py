@@ -780,6 +780,11 @@ def oracle_projector(G, formation):
     return C
 
 
+def oracle_least_conjugate(G, U):
+    """Element set of the conjugate of U with the least sorted element tuple, over every g in G."""
+    return frozenset(min(sorted(u.conj(g) for u in U.elements()) for g in G.elements()))
+
+
 # -- generators read off an element set ------------------------------------------
 
 

@@ -24,10 +24,12 @@ thm-b`` (text and JSON) for each formation, and ``verify thm-c`` for every
 prime of the order.  On the two ``ladder`` products it also prints ``verify
 thm-a`` (text and JSON) for each formation, over every normal subgroup: that
 restricts each head character to each normal subgroup of tables larger than
-the catalog's.  The residual and the projector are also printed for one
-more descriptor per residual route (``ROUTE_FORMATIONS``) on the catalog, the
-``ladder`` products and C2^5, and the residual alone on A5, where the routes
-must hold for a nonsolvable group too.
+the catalog's.  The wreath product S4 wr C2 (order 1152), the largest group
+of the sweep, is written the same way, and the sweep prints its projector
+and canonical series for each formation.  The residual and the projector are
+also printed for one more descriptor per residual route (``ROUTE_FORMATIONS``)
+on the catalog, the ``ladder`` products and C2^5, and the residual alone on
+A5, where the routes must hold for a nonsolvable group too.
 
 A few commands print a subgroup that is all of a solvable G (a residual or
 a projector equal to G, and ``verify thm-a --normal`` with N = G): they print
@@ -61,6 +63,7 @@ ROUTE_FORMATIONS = (
 )
 REFUSAL_FILES = {"A5.grp": "degree 5\n(0 1 2 3 4)\n(0 1 2)\n", "trivial.grp": "degree 3\n"}
 C2_5 = ("C2^5.grp", "degree 10\n" + "".join("(%d %d)\n" % (i, i + 1) for i in range(0, 10, 2)))
+S4_WR_C2 = ("S4wrC2.grp", "degree 8\n(0 1)\n(0 1 2 3)\n(4 5)\n(4 5 6 7)\n(0 4)(1 5)(2 6)(3 7)\n")
 INVALID_FORMATIONS = ("p-groups:4", "pi-groups:", "nilpotent:3", "nilpotent-length:0")
 ROOT_COMMANDS = (
     ["residual", "S4", "--formation", "pi-groups:3"],
@@ -87,12 +90,12 @@ USAGE_ERRORS = (
 
 
 def write_group_files():
-    """The refusal files and the benchmark and C2^5 groups, in the working directory.
+    """The refusal files and the benchmark, C2^5 and S4 wr C2 groups, in the working directory.
 
     Returns the names of the ``tables`` product files and of the ``ladder``
     product files.
     """
-    for name, text in (*REFUSAL_FILES.items(), C2_5):
+    for name, text in (*REFUSAL_FILES.items(), C2_5, S4_WR_C2):
         with open(name, "w", encoding="utf-8") as fh:
             fh.write(text)
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
@@ -139,6 +142,9 @@ def commands(products, ladder):
         for formation in FORMATIONS:
             for form in ([], ["--json"]):
                 out.append(["verify", "thm-a", name, "--formation", formation, *form])
+    for formation in FORMATIONS:
+        out.append(["projector", S4_WR_C2[0], "--formation", formation])
+        out.append(["series", S4_WR_C2[0], "--formation", formation, "--json"])
     for formation in ROUTE_FORMATIONS:
         for name in (*catalog_names(), *lattice_groups):
             out.append(["residual", name, "--formation", formation])
