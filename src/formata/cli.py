@@ -22,6 +22,7 @@ from .errors import CapacityError, CatalogIntegrityError, FormataError, Internal
 from .formations import Formation, projector, require_solvable, residual
 from .groups import PermGroup, normal_subgroups, order_cap, prime_divisors
 from .headchars import (
+    _row_of,
     canonical_series,
     counting_report,
     extension_transfer_check,
@@ -137,7 +138,7 @@ def _series_output(G, F, label, as_json):
 def _headchars_output(G, F, label, as_json):
     heads = fprime_ascending(G, F)
     irr = character_table(G).irr
-    rows = [next(i for i, r in enumerate(irr) if r is h) for h in heads]
+    rows = [_row_of(irr, h) for h in heads]
     if as_json:
         return {
             "group": G.to_json(),

@@ -20,6 +20,8 @@ of the masks whose quotients are supersolvable.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import DomainError, InternalInconsistencyError, UnsupportedGroupError
 from .groups import (
     INTERMEDIATE_MAX_ORDER,
@@ -96,15 +98,17 @@ def _supersolvable_over(G, n):
     return n == _full_mask(G) or G.memo(("supersolvable_over", G, n), compute)
 
 
+@dataclass(frozen=True, slots=True)
 class Formation:
-    """One of the supported saturated formation descriptors."""
+    """One of the supported saturated formation descriptors; a value, and its own memo key."""
 
-    __slots__ = ("kind", "params")
+    kind: str
+    params: tuple = ()
 
-    def __init__(self, kind, params=()):
+    def __post_init__(self):
+        kind, params = self.kind, tuple(self.params)
         if kind not in _KINDS:
             raise DomainError("unknown formation kind %r" % kind)
-        params = tuple(params)
         name = kind.replace("_", "-")  # the descriptor as the user writes it
         if kind in ("p_groups", "p_nilpotent"):
             if len(params) != 1 or not is_prime(params[0]):
@@ -118,8 +122,7 @@ class Formation:
                 raise DomainError("%s needs a positive bound" % name)
         elif params:
             raise DomainError("%s takes no parameters" % name)
-        self.kind = kind
-        self.params = params
+        object.__setattr__(self, "params", params)
 
     @staticmethod
     def parse(text):
@@ -137,23 +140,11 @@ class Formation:
             raise DomainError("bad formation parameters %r" % arg)
         return Formation(kind, params)
 
-    def key(self):
-        return (self.kind, self.params)
-
-    def __eq__(self, other):
-        return isinstance(other, Formation) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
-
     def __str__(self):
         name = self.kind.replace("_", "-")
         if self.params:
             return "%s:%s" % (name, ",".join(str(p) for p in self.params))
         return name
-
-    def __repr__(self):
-        return "Formation(%s)" % self
 
     @property
     def contains_nilpotent(self):
@@ -181,7 +172,7 @@ def residual(G, formation):
 
 def _residual_mask(G, formation):
     """Class mask of the residual, cached in G's memo."""
-    return G.memo(("residual", G, formation.key()), lambda: _residual(G, formation))
+    return G.memo(("residual", G, formation), lambda: _residual(G, formation))
 
 
 def _residual(G, formation):
@@ -220,7 +211,7 @@ def require_solvable(G):
 def projector(G, formation):
     """The projector least of its conjugates by sort_key, so it depends on G and F alone; needs G solvable."""
     require_solvable(G)
-    return G.memo(("projector", G, formation.key()), lambda: least_conjugate(G, _projector_rec(G, formation)))
+    return G.memo(("projector", G, formation), lambda: least_conjugate(G, _projector_rec(G, formation)))
 
 
 def _projector_rec(G, formation):

@@ -876,34 +876,39 @@ def chief_series(G, through=()):
 
 
 class GroupMap:
-    """Homomorphism onto a coset-action quotient, with kernel and a section."""
+    """Homomorphism onto a coset-action quotient, with kernel and a section.
 
-    def __init__(self, source, target, coset_reps, coset_index, kernel, gen_images):
+    G/N is regular on the cosets, and coset 0 is N, so q in G/N is fixed by
+    the coset it sends N to: the map is the coset index, and apply, lift,
+    images and preimages are lookups.
+    """
+
+    def __init__(self, source, target, coset_reps, coset_index, kernel):
         self.source = source
         self.target = target
         self._reps = coset_reps
         self._index = coset_index
         self._kernel = kernel
-        self.gen_images = tuple(gen_images)  # one image per generator of source
+        self._by_coset = {q.images[0]: q for q in target.elements()}
 
     def kernel(self):
         return self._kernel
 
     def apply(self, x):
-        if not self.source.contains(x):
+        coset = self._index.get(x)
+        if coset is None:
             raise DomainError("element outside the map's source")
-        return Perm(tuple(self._index[rep * x] for rep in self._reps))
+        return self._by_coset[coset]
 
     def lift(self, q):
         """A coset representative mapping onto q (a section, not a morphism)."""
         if not self.target.contains(q):
             raise DomainError("element outside the map's target")
-        return self._reps[q.images[self._index[self.source.identity()]]]
+        return self._reps[q.images[0]]
 
     def image_of_subgroup(self, U):
         """The image of U <= source, interned under the target's root."""
-        gens = [self.apply(u) for u in U.generators]
-        return PermGroup.from_elements(self.target, closure_elements(self.target.degree, gens))
+        return PermGroup.from_elements(self.target, {self.apply(u) for u in U.elements()})
 
     def preimage_of_subgroup(self, V):
         """The preimage of V <= target, interned under the source's root.
@@ -912,8 +917,7 @@ class GroupMap:
         """
         if not V.is_subgroup_of(self.target):
             raise DomainError("subgroup outside the map's target")
-        start = self._index[self.source.identity()]
-        reached = {v.images[start] for v in V.elements()}
+        reached = {v.images[0] for v in V.elements()}
         return PermGroup.from_elements(self.source, [g for g, i in self._index.items() if i in reached])
 
 
@@ -925,27 +929,32 @@ def quotient(G, N):
 def _coset_action(G, N):
     if not is_normal_in(N, G):
         raise DomainError("quotient requires a normal subgroup")
-    nelts = N.elements()
-    index = {}
-    reps = []
-    # cosets are discovered in sorted element order, so each representative
-    # is its coset's least element, the reps are sorted and the kernel is first
-    for g in G.elements():
-        if g not in index:
-            index.update(dict.fromkeys([n * g for n in nelts], len(reps)))
-            reps.append(g)
+    reps, index = _right_cosets(G, N)
     qgens = [Perm(tuple(index[rep * g] for rep in reps)) for g in G.generators]
     # G/N is regular on the cosets: Q's order is their number, and the closure checks it
     Q = PermGroup(len(reps), qgens)
     Q._order = len(reps)
     Q.elements()
-    gmap = GroupMap(G, Q, reps, index, N, qgens)
-    pairs = tuple(zip(G.generators, gmap.gen_images))
-    for a, qa in pairs:
-        for b, qb in pairs:
+    gmap = GroupMap(G, Q, reps, index, N)
+    for a, qa in zip(G.generators, qgens):
+        for b, qb in zip(G.generators, qgens):
             if gmap.apply(a * b) != qa * qb:
                 raise InternalInconsistencyError("coset action is not a morphism")
     return Q, gmap
+
+
+def _right_cosets(G, U):
+    """(reps, index) of the right cosets Ug, index taking each g to its coset's number.
+
+    Each rep is its coset's least element, the reps are sorted, and U is coset 0.
+    """
+    uelts = U.elements()
+    index, reps = {}, []
+    for g in G.elements():
+        if g not in index:
+            index.update(dict.fromkeys([u * g for u in uelts], len(reps)))
+            reps.append(g)
+    return reps, index
 
 
 # -- complements --------------------------------------------------------------
@@ -981,12 +990,8 @@ def complement(G, A):
 
 def least_conjugate(G, U):
     """The conjugate of U <= G with the least sort_key, interned under G's root; one g per coset N_G(U)g."""
-    norm, seen, conjugates = normalizer(G, U).elements(), set(), []
-    for g in G.elements():
-        if g not in seen:
-            seen.update(n * g for n in norm)
-            conjugates.append(sorted(u.conj(g) for u in U.elements()))
-    return PermGroup.from_elements(G, min(conjugates))
+    reps, _ = _right_cosets(G, normalizer(G, U))
+    return PermGroup.from_elements(G, min(sorted(u.conj(g) for u in U.elements()) for g in reps))
 
 
 # -- H-composition series -----------------------------------------------------

@@ -29,7 +29,7 @@ def _subgroup_json(U):
 
 def _hypothesis(G, F):
     """Flag used by the extension transfer theorem and Theorem A part (c)."""
-    if F == Formation("nilpotent"):
+    if F in (Formation("nilpotent"), Formation("nilpotent_length", (1,))):
         return {"met": True, "reason": "formation is nilpotent"}
     if G.order() % 2 == 1:
         return {"met": True, "reason": "group order %d is odd" % G.order()}
@@ -86,7 +86,7 @@ class CanonicalSeries:
 
 def canonical_series(G, F):
     """The canonical chain of residuals and derived subgroups below G."""
-    return G.memo(("canonical", G, F.key()), lambda: _canonical_series(G, F))
+    return G.memo(("canonical", G, F), lambda: _canonical_series(G, F))
 
 
 def _canonical_series(G, F):
@@ -177,7 +177,7 @@ def _ascend(G, F):
 
 def fprime_ascending(G, F):
     """The head characters of G, built upward from Lin(H), in table row order."""
-    return list(G.memo(("fprime", G, F.key()), lambda: tuple(_ascend(G, F)[0])))
+    return list(G.memo(("fprime", G, F), lambda: tuple(_ascend(G, F)[0])))
 
 
 def ascent_states(G, F):
@@ -300,7 +300,7 @@ def _default_series(G, F):
         cs = canonical_series(G, F)
         return tuple(h_composition_series(G, cs.projector, cs.anchors()))
 
-    return G.memo(("hseries", G, F.key()), compute)
+    return G.memo(("hseries", G, F), compute)
 
 
 def strong_series_for(chi, G, F, series=None):

@@ -612,22 +612,34 @@ def oracle_is_nilpotent(G):
     return True
 
 
-def oracle_quotient_generators(G, N):
-    """Images of G's generators acting on the right cosets of N.
+@lru_cache(maxsize=None)
+def _oracle_cosets(G, N):
+    """Right cosets of N by least element, in increasing order, and each element's coset number."""
+    nset = N.element_set()
+    cosets = sorted({min(n * g for n in nset) for g in G.elements()})
+    number = {rep: i for i, rep in enumerate(cosets)}
+    return cosets, {n * rep: number[rep] for rep in cosets for n in nset}
+
+
+def oracle_apply(G, N, x):
+    """The image of x in G/N as the product-built Perm: coset i goes to the coset of rep_i * x.
 
     Cosets are numbered by their least element, in increasing order, as
     groups.quotient numbers them.
     """
-    nset = N.element_set()
-    cosets = sorted({min(n * g for n in nset) for g in G.elements()})
-    index = {rep: i for i, rep in enumerate(cosets)}
-    least = {}
-    for rep in cosets:
-        for c in (n * rep for n in nset):
-            least[c] = rep
-    return [
-        tuple(index[least[rep * g]] for rep in cosets) for g in G.generators
-    ]
+    cosets, coset_of = _oracle_cosets(G, N)
+    return Perm(tuple(coset_of[rep * x] for rep in cosets))
+
+
+def oracle_quotient_generators(G, N):
+    """Images of G's generators acting on the right cosets of N."""
+    return [oracle_apply(G, N, g).images for g in G.generators]
+
+
+def oracle_image_of_subgroup(G, N, U):
+    """Element set of the image of U <= G in G/N: the closure of its applied generators."""
+    cosets = _oracle_cosets(G, N)[0]
+    return frozenset(brute_elements(len(cosets), [oracle_apply(G, N, u) for u in U.generators]))
 
 
 # -- formation membership on quotient groups ----------------------------------

@@ -4,7 +4,7 @@ import pytest
 
 from _oracles import oracle_gallagher_family
 from _products import direct_product
-from formata.catalog import catalog_group
+from formata.catalog import catalog_group, load_catalog
 from formata.characters import character_table
 from formata.errors import DomainError, NoStrongSeriesError, UnsupportedGroupError
 from formata.formations import Formation, navarro_condition, projector, residual
@@ -502,6 +502,17 @@ def test_theorem_a_hypothesis_not_met_skips_part_c():
     assert rep["summary"]["all_pass"]
     assert not rep["summary"]["hypothesis"]["met"]
     assert all(not inst["witnesses"]["part_c"]["checked"] for inst in rep["instances"])
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in load_catalog()])
+def test_theorem_a_nilpotent_length_one_is_the_nilpotent_class(name):
+    G = catalog_group(name)
+    length_one = Formation.parse("nilpotent-length:1")
+    for N in normal_subgroups(G):
+        nil, one = theorem_a_report(G, NIL, N), theorem_a_report(G, length_one, N)
+        assert one["summary"]["hypothesis"] == {"met": True, "reason": "formation is nilpotent"}
+        assert one["instances"] == nil["instances"] and one["summary"] == nil["summary"]
+        assert one["summary"]["all_pass"], (name, N.order())
 
 
 def test_theorem_a_odd_order_part_c():

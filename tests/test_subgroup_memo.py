@@ -277,7 +277,7 @@ def assert_memo_matches_oracles(G):
             assert intersection(N, U) is M
         Q, gmap = quotient(G, N)
         assert Q.order() * N.order() == G.order()
-        assert [g.images for g in gmap.gen_images] == oracle_quotient_generators(G, N)
+        assert [gmap.apply(g).images for g in G.generators] == oracle_quotient_generators(G, N)
         assert quotient(G, N)[0] is Q
 
 

@@ -29,7 +29,9 @@ of the sweep, is written the same way, and the sweep prints its projector
 and canonical series for each formation.  The residual and the projector are
 also printed for one more descriptor per residual route (``ROUTE_FORMATIONS``)
 on the catalog, the ``ladder`` products and C2^5, and the residual alone on
-A5, where the routes must hold for a nonsolvable group too.
+A5, where the routes must hold for a nonsolvable group too.  ``verify thm-a``
+runs on S4 and 2S4 (text and JSON) under ``nilpotent-length:1`` as well,
+the class of nilpotent groups under a second descriptor.
 
 A few commands print a subgroup that is all of a solvable G (a residual or
 a projector equal to G, and ``verify thm-a --normal`` with N = G): they print
@@ -125,6 +127,10 @@ def commands(products, ladder):
         out.append(["table", name])
         out.append(["table", name, "--json"])
     out.extend(ROOT_COMMANDS)
+    # nilpotent length at most 1 is the class of nilpotent groups under another descriptor
+    for name in ("S4", "2S4"):
+        for form in ([], ["--json"]):
+            out.append(["verify", "thm-a", name, "--formation", "nilpotent-length:1", *form])
     for name in products:
         out.append(["table", name])
         out.append(["table", name, "--json"])
