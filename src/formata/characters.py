@@ -431,6 +431,7 @@ class CharacterTable:
                 want = 1 if i == j else 0
                 if not (v.is_rational() and v.as_fraction() == want):
                     raise InternalInconsistencyError("row orthogonality fails at (%d, %d)" % (i, j))
+            chi._irreducible = True  # <chi, chi> = 1 was the first product of the row
         return True
 
     def to_json(self):

@@ -133,12 +133,12 @@ class PermGroup:
 
     A group built from generators is a root.  Roots come only from user
     generators (``generate``, a group file, ``PermGroup(...)``) and from
-    ``quotient``; every subgroup formata builds inside a group, from products,
-    meets, closures, preimages and images to projectors and series terms, goes
-    through ``from_elements`` and is interned under its root ``_root``.  A
-    root owns a memo, one dict shared with every subgroup interned under it;
-    groups under different roots share nothing, and a memo lives as long as
-    its root.
+    ``quotient`` by a nontrivial subgroup (G/1 is G); every subgroup formata
+    builds inside a group, from products, meets, closures, preimages and
+    images to projectors and series terms, goes through ``from_elements`` and
+    is interned under its root ``_root``.  A root owns a memo, one dict
+    shared with every subgroup interned under it; groups under different
+    roots share nothing, and a memo lives as long as its root.
 
     The memo is the intern table: under a frozenset of elements it holds the
     one group object of the root with that element set, the root itself for
@@ -876,11 +876,13 @@ def chief_series(G, through=()):
 
 
 class GroupMap:
-    """Homomorphism onto a coset-action quotient, with kernel and a section.
+    """Homomorphism onto a quotient, with kernel and a section.
 
-    G/N is regular on the cosets, and coset 0 is N, so q in G/N is fixed by
-    the coset it sends N to: the map is the coset index, and apply, lift,
-    images and preimages are lookups.
+    Coset i of the kernel goes to the i-th element of the target in sorted
+    order, so the map is the coset index, and apply, lift, images and
+    preimages are lookups.  For the identity map of G onto itself the cosets
+    are G's elements; for the coset action, G/N is regular on the cosets and
+    the i-th element is the one sending coset 0, the kernel, to coset i.
     """
 
     def __init__(self, source, target, coset_reps, coset_index, kernel):
@@ -889,7 +891,8 @@ class GroupMap:
         self._reps = coset_reps
         self._index = coset_index
         self._kernel = kernel
-        self._by_coset = {q.images[0]: q for q in target.elements()}
+        self._by_coset = target.elements()
+        self._coset_of = {q: i for i, q in enumerate(self._by_coset)}
 
     def kernel(self):
         return self._kernel
@@ -902,9 +905,10 @@ class GroupMap:
 
     def lift(self, q):
         """A coset representative mapping onto q (a section, not a morphism)."""
-        if not self.target.contains(q):
+        coset = self._coset_of.get(q)
+        if coset is None:
             raise DomainError("element outside the map's target")
-        return self._reps[q.images[0]]
+        return self._reps[coset]
 
     def image_of_subgroup(self, U):
         """The image of U <= source, interned under the target's root."""
@@ -917,13 +921,24 @@ class GroupMap:
         """
         if not V.is_subgroup_of(self.target):
             raise DomainError("subgroup outside the map's target")
-        reached = {v.images[0] for v in V.elements()}
+        reached = {self._coset_of[v] for v in V.elements()}
         return PermGroup.from_elements(self.source, [g for g, i in self._index.items() if i in reached])
 
 
 def quotient(G, N):
-    """Quotient by a normal subgroup via the right-coset action; returns (Q, map)."""
-    return G.memo(("quotient", G, N), lambda: _coset_action(G, N))
+    """Quotient by a normal subgroup; returns (Q, map).
+
+    G/1 is G itself with the identity map; any other G/N is the right-coset
+    action.
+    """
+
+    def compute():
+        if N.order() == 1 and N.is_subgroup_of(G):
+            elts = G.elements()
+            return G, GroupMap(G, G, elts, {g: i for i, g in enumerate(elts)}, N)
+        return _coset_action(G, N)
+
+    return G.memo(("quotient", G, N), compute)
 
 
 def _coset_action(G, N):

@@ -625,7 +625,7 @@ def oracle_apply(G, N, x):
     """The image of x in G/N as the product-built Perm: coset i goes to the coset of rep_i * x.
 
     Cosets are numbered by their least element, in increasing order, as
-    groups.quotient numbers them.
+    groups._coset_action numbers them.
     """
     cosets, coset_of = _oracle_cosets(G, N)
     return Perm(tuple(coset_of[rep * x] for rep in cosets))

@@ -1,15 +1,19 @@
 """Canonical series, head character constructions, and theorem report tests."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracles import oracle_gallagher_family
-from _products import direct_product
+from _products import PAIRS, direct_product
+from formata import groups
 from formata.catalog import catalog_group, load_catalog
-from formata.characters import character_table
+from formata.characters import character_table, deflate
+from formata.cli import VERIFY_FORMATIONS
 from formata.errors import DomainError, NoStrongSeriesError, UnsupportedGroupError
 from formata.formations import Formation, navarro_condition, projector, residual
 from formata.groups import (
     PermGroup,
+    _coset_action,
     generate,
     h_composition_series,
     is_invariant_under,
@@ -556,6 +560,57 @@ def test_theorem_b_witness_flags():
     assert wit["kernel_lemma"]
     assert wit["inflation_bijection"]
     assert rep["summary"]["all_pass"]
+
+
+def trivial_kernel_formations(G):
+    """The formations of ``verify all`` under which Theorem B's M is trivial on G."""
+    forms = [Formation.parse(name) for name in VERIFY_FORMATIONS]
+    return [F for F in forms if theorem_b_report(G, F)["summary"]["M_order"] == 1]
+
+
+def assert_heads_deflate_onto_regular_copy(G, F):
+    """For M = 1, the heads deflate onto the heads of the regular representation of G."""
+    Q, gmap = _coset_action(G, trivial_subgroup(G))
+    assert Q is not G and Q.degree == G.order()
+    deflated = [deflate(chi, gmap) for chi in fprime_ascending(G, F)]
+    assert set(deflated) == set(fprime_ascending(Q, F)) and len(set(deflated)) == len(deflated)
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in load_catalog()])
+def test_theorem_b_trivial_kernel_on_regular_copy(name):
+    G = catalog_group(name)
+    for F in trivial_kernel_formations(G):
+        assert_heads_deflate_onto_regular_copy(G, F)
+
+
+def test_theorem_b_trivial_kernel_cases_in_catalog():
+    # 58 of the 92 thm-b lines of verify all
+    assert sum(len(trivial_kernel_formations(catalog_group(e.name))) for e in load_catalog()) == 58
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(PAIRS))
+def test_theorem_b_trivial_kernel_on_regular_copy_of_products(pair):
+    G = direct_product(*(catalog_group(n) for n in pair))
+    for F in trivial_kernel_formations(G):
+        assert_heads_deflate_onto_regular_copy(G, F)
+
+
+def test_theorem_b_trivial_kernel_builds_no_coset_action(monkeypatch):
+    entry = next(e for e in load_catalog() if e.name == "S4")
+    G = generate(entry.degree, entry.words)
+    # the projector's recursion builds G/A for a minimal normal A; build it first
+    projector(G, NIL)
+    calls = []
+    coset_action = groups._coset_action
+
+    def counting_coset_action(G, N):
+        calls.append(N.order())
+        return coset_action(G, N)
+
+    monkeypatch.setattr(groups, "_coset_action", counting_coset_action)
+    assert theorem_b_report(G, NIL)["summary"] == {"all_pass": True, "M_order": 1}
+    assert calls == []
 
 
 def test_theorem_c_values():

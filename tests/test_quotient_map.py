@@ -7,7 +7,7 @@ from _oracles import oracle_apply, oracle_image_of_subgroup
 from _products import PAIRS, direct_product
 from formata.catalog import catalog_group, load_catalog
 from formata.errors import DomainError
-from formata.groups import PermGroup, normal_subgroups, quotient
+from formata.groups import PermGroup, _coset_action, normal_subgroups, quotient
 from formata.perms import Perm
 from test_subgroup_memo import subgroups_of
 
@@ -18,21 +18,38 @@ def assert_quotient_map_matches_oracles(G):
     subs = subgroups_of(G)
     for N in normal_subgroups(G):
         Q, gmap = quotient(G, N)
-        images = {x: oracle_apply(G, N, x) for x in G.elements()}
-        assert all(gmap.apply(x) == q for x, q in images.items()), N.order()
-        for q in Q.elements():
-            # a section: the least element of the coset mapping onto q
-            assert gmap.lift(q) == min(x for x, image in images.items() if image == q)
-        for U in subs:
-            image = gmap.image_of_subgroup(U)
-            assert image.element_set() == oracle_image_of_subgroup(G, N, U)
-            assert gmap.preimage_of_subgroup(image).element_set() == {
-                x for x, q in images.items() if q in image.element_set()
-            }
-        for V in normal_subgroups(Q):
-            assert gmap.preimage_of_subgroup(V).element_set() == {
-                x for x, q in images.items() if q in V.element_set()
-            }
+        if N.order() == 1:
+            assert Q is G
+            assert_identity_map(G, gmap, subs)
+            # the regular representation stays the coset action's oracle route
+            Q, gmap = _coset_action(G, N)
+        assert_coset_map_matches_oracles(G, N, Q, gmap, subs)
+
+
+def assert_identity_map(G, gmap, subs):
+    assert gmap.source is gmap.target is G
+    assert all(gmap.apply(x) == x and gmap.lift(x) == x for x in G.elements())
+    for U in (*subs, *normal_subgroups(G)):
+        assert gmap.image_of_subgroup(U) is U
+        assert gmap.preimage_of_subgroup(U) is U
+
+
+def assert_coset_map_matches_oracles(G, N, Q, gmap, subs):
+    images = {x: oracle_apply(G, N, x) for x in G.elements()}
+    assert all(gmap.apply(x) == q for x, q in images.items()), N.order()
+    for q in Q.elements():
+        # a section: the least element of the coset mapping onto q
+        assert gmap.lift(q) == min(x for x, image in images.items() if image == q)
+    for U in subs:
+        image = gmap.image_of_subgroup(U)
+        assert image.element_set() == oracle_image_of_subgroup(G, N, U)
+        assert gmap.preimage_of_subgroup(image).element_set() == {
+            x for x, q in images.items() if q in image.element_set()
+        }
+    for V in normal_subgroups(Q):
+        assert gmap.preimage_of_subgroup(V).element_set() == {
+            x for x, q in images.items() if q in V.element_set()
+        }
 
 
 @pytest.mark.parametrize("name", CATALOG)

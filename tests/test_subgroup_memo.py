@@ -23,6 +23,7 @@ from formata.errors import DomainError, InternalInconsistencyError
 from formata.formations import Formation, is_nilpotent, projector, residual, verify_projector
 from formata.groups import (
     PermGroup,
+    _coset_action,
     chief_series,
     generate,
     h_composition_series,
@@ -277,6 +278,10 @@ def assert_memo_matches_oracles(G):
             assert intersection(N, U) is M
         Q, gmap = quotient(G, N)
         assert Q.order() * N.order() == G.order()
+        if N.order() == 1:
+            assert Q is G and all(gmap.apply(g) == g for g in G.generators)
+            # the regular representation stays the coset action's oracle route
+            gmap = _coset_action(G, N)[1]
         assert [gmap.apply(g).images for g in G.generators] == oracle_quotient_generators(G, N)
         assert quotient(G, N)[0] is Q
 

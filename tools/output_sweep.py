@@ -25,13 +25,16 @@ prime of the order.  On the two ``ladder`` products it also prints ``verify
 thm-a`` (text and JSON) for each formation, over every normal subgroup: that
 restricts each head character to each normal subgroup of tables larger than
 the catalog's.  The wreath product S4 wr C2 (order 1152), the largest group
-of the sweep, is written the same way, and the sweep prints its projector
-and canonical series for each formation.  The residual and the projector are
-also printed for one more descriptor per residual route (``ROUTE_FORMATIONS``)
-on the catalog, the ``ladder`` products and C2^5, and the residual alone on
-A5, where the routes must hold for a nonsolvable group too.  ``verify thm-a``
-runs on S4 and 2S4 (text and JSON) under ``nilpotent-length:1`` as well,
-the class of nilpotent groups under a second descriptor.
+of the sweep, is written the same way, and the sweep prints its projector,
+its canonical series and ``verify thm-b`` (text and JSON) for each
+formation: under two of them Theorem B's M is trivial, so the heads of G are
+checked against those of G/1, which is G itself.  The residual and the
+projector are also printed for one more descriptor per residual route
+(``ROUTE_FORMATIONS``) on the catalog, the ``ladder`` products and C2^5, and
+the residual alone on A5, where the routes must hold for a nonsolvable group
+too.  ``verify thm-a`` runs on S4 and 2S4 (text and JSON) under
+``nilpotent-length:1`` as well, the class of nilpotent groups under a second
+descriptor.
 
 A few commands print a subgroup that is all of a solvable G (a residual or
 a projector equal to G, and ``verify thm-a --normal`` with N = G): they print
@@ -151,6 +154,8 @@ def commands(products, ladder):
     for formation in FORMATIONS:
         out.append(["projector", S4_WR_C2[0], "--formation", formation])
         out.append(["series", S4_WR_C2[0], "--formation", formation, "--json"])
+        for form in ([], ["--json"]):
+            out.append(["verify", "thm-b", S4_WR_C2[0], "--formation", formation, *form])
     for formation in ROUTE_FORMATIONS:
         for name in (*catalog_names(), *lattice_groups):
             out.append(["residual", name, "--formation", formation])
