@@ -1,9 +1,16 @@
 """Exact character tables of permutation groups via eigenspace splitting mod q.
 
-The table is computed with Dixon's method: central characters are found as
-joint eigenvectors of the class matrices over GF(q) for a prime q = 1 mod
-exponent(G) with q^2 > 4|G|, then character values are lifted exactly to
-cyclotomic integers through the power maps.  No floating point anywhere.
+The table is computed with Dixon's method over GF(q), for a prime q = 1 mod
+exponent(G) with q^2 > 4|G|, restated as a few products over the whole table.
+The central characters are the joint eigenvectors of the class matrices.  The
+indicator of the identity class is a combination of all of them with nonzero
+coefficients mod q, so projecting it onto the eigenspaces of a generic element
+of the class algebra, and the projections onto those of the next, splits it
+into one vector per central character (``_split_spaces``): each round is a
+few Krylov products and one tensordot, with no nullspace or echelon form.
+The degrees follow by array operations, and every row is lifted exactly to
+cyclotomic integers through the power maps with one product per element
+order (``_lift_character``).  No floating point anywhere.
 
 A class function is held in one exact integer form: a conductor e, an integer
 matrix with one row per class holding the value's coefficients in the power
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from math import gcd, lcm
 
 import numpy as np
@@ -51,8 +59,8 @@ from .cyclotomic import (
     phi,
 )
 from .errors import InternalInconsistencyError
-from .gfq import charpoly_mod, nullspace_mod, poly_roots_mod, rref_mod
-from .groups import _class_matrix, is_prime, mask_subgroup, prime_divisors
+from .gfq import _check_modulus, charpoly_mod, poly_roots_mod
+from .groups import _element_keys, _element_rows, is_prime, mask_subgroup, prime_divisors
 
 
 def _row_keys(rows):
@@ -115,13 +123,19 @@ def _root_of_unity(e, q):
 
 
 def _sqrt_mod(a, q):
-    """The least square root of a mod the prime q, or None for a non-residue.
+    """The least square root mod the prime q of a, or of each entry of the array a.
 
-    A search over all of GF(q) by poly_roots_mod on x**2 - a, in int64 under
-    its bound (q-1)**2 < 2**63.
+    The roots of a residue are r and q - r, so the least lies in 0..(q-1)/2,
+    where x -> x^2 is one to one: one lookup table, from squares below
+    (q - 1)^2 < 2^63.  A non-residue gives None, or -1 in an array.
     """
-    roots = poly_roots_mod([-a, 0, 1], q)
-    return roots[0] if roots else None
+    half = np.arange((q + 1) // 2, dtype=np.int64)
+    table = np.full(q, -1, dtype=np.int64)
+    table[half * half % q] = half
+    if np.ndim(a):
+        return table[np.asarray(a) % q]
+    root = int(table[a % q])
+    return None if root < 0 else root
 
 
 class ClassFunction:
@@ -452,41 +466,98 @@ class CharacterTable:
         }
 
 
+# rounds of _split_spaces that use a generic element of the class algebra
+_GENERIC_ROUNDS = 3
+
+
 def _split_spaces(G, q):
-    classes = G.conjugacy_classes()
-    k = len(classes)
-    spaces = [(np.eye(k, dtype=np.int64), np.arange(k))]
-    for i in range(1, k):
-        if all(B.shape[0] == 1 for B, _ in spaces):
+    """One vector mod q per central character of G, each a joint eigenvector of the class matrices.
+
+    The central characters omega_chi are the joint eigenvectors of the class
+    matrices A_i = _class_matrix(G, i), with eigenvalue omega_chi(C_i) on A_i.
+    The indicator e_0 of the identity class is sum_chi (chi(1)^2/|G|) omega_chi,
+    and every coefficient is nonzero mod q, because q does not divide |G| and
+    q > 2 chi(1).  So the projection of e_0 onto an eigenspace of any element
+    M of the class algebra holds every omega_chi of that eigenspace with a
+    nonzero coefficient.  The split starts from the one seed e_0; each round
+    picks M and replaces every seed by its nonzero projections onto M's
+    eigenspaces.  With m(x) the product of x - lam over the r distinct roots of
+    M's characteristic polynomial, P_lam u is proportional to
+    sum_j y_lam[j] M^j u, y_lam the coefficients of m(x)/(x - lam): r Krylov
+    products for all seeds and one tensordot, with no nullspace and no
+    echelon form.  A seed u with M u proportional to u stays as it is.  The
+    seeds are then sums over disjoint sets of central characters, so there
+    are k of them exactly when each is proportional to one omega_chi.
+
+    Every M is a class sum M = sum_i c_i A_i, built from one gather over G's
+    elements.  Round r < _GENERIC_ROUNDS takes c_i = (r + 2)^i mod q, a
+    generic element whose eigenvalues separate the central characters unless
+    k > q or values collide; then the split goes on with A_1, A_2, ... in
+    order (c a unit vector), which separate all central characters.
+
+    Returns the (k, k) array of the seeds as rows, in no particular order or
+    scale.  Bounds on every entry and partial sum before a reduction mod q:
+    the combination matrix |G| (q - 1), the Krylov products k (q - 1)^2, the
+    tensordot r (q - 1)^2 with r <= k.
+    """
+    k = len(G.conjugacy_classes())
+    _check_modulus(q, k)
+    _, base_images, row_class, reps = _element_keys(G)
+    inv_class = np.array([G.class_of(c.rep.inverse()) for c in G.conjugacy_classes()])
+    # js[t, y]: the class of y * rep_t for every class t and every y in G, one
+    # gather.  A_i[j, t] counts the y with y^-1 in C_i and y * rep_t in C_j, so
+    # M[j, t] is the sum of c_i over the y with js[t, y] = j, C_i holding y^-1
+    js = row_class[_element_rows(G, reps[:, base_images])]
+    ts = np.broadcast_to(np.arange(k)[:, None], js.shape)
+    weight_class = inv_class[row_class]
+    generic = (np.array([pow(r + 2, i, q) for i in range(k)], dtype=np.int64) for r in range(_GENERIC_ROUNDS))
+    seeds = np.zeros((k, 1), dtype=np.int64)
+    seeds[0, 0] = 1
+    for c in chain(generic, np.eye(k, dtype=np.int64)[1:]):
+        if seeds.shape[1] >= k:
             break
-        A = _class_matrix(G, i)
-        nxt = []
-        for B, piv in spaces:
-            d = B.shape[0]
-            if d == 1:
-                nxt.append((B, piv))
-                continue
-            C = ((A @ B.T) % q)[piv, :]
-            if np.array_equal(C, C[0, 0] * np.eye(d, dtype=np.int64)):
-                # C is diagonalizable over GF(q), so a scalar C has one eigenspace: the whole space
-                nxt.append((B, piv))
-                continue
-            roots = poly_roots_mod(charpoly_mod(C, q), q)
-            total = 0
-            for lam in roots:
-                N = nullspace_mod((C - lam * np.eye(d, dtype=np.int64)) % q, q)
-                if N.shape[0] == 0:
-                    continue
-                W = (N @ B) % q
-                R, p2 = rref_mod(W, q)
-                nxt.append((R[: len(p2)], p2))
-                total += len(p2)
-            if total != d:
-                raise InternalInconsistencyError("eigenspace dimensions do not add up")
-        spaces = nxt
-    if any(B.shape[0] != 1 for B, _ in spaces):
+        M = np.zeros((k, k), dtype=np.int64)
+        np.add.at(M, (js, ts), c[weight_class])
+        seeds = _project(M % q, seeds, q)
+    if seeds.shape[1] != k:
         raise InternalInconsistencyError("class matrices failed to split the space")
-    return [B[0] for B, _ in spaces]
+    return seeds.T
+
+
+def _project(M, seeds, q):
+    """The nonzero projections of the seeds (columns) onto the eigenspaces of M, as columns.
+
+    M is diagonalizable over GF(q) with entries below q; see _split_spaces.
+    """
+    k, s = seeds.shape
+    MU = M @ seeds % q
+    cols = np.arange(s)
+    lead = (seeds != 0).argmax(axis=0)
+    scale = MU[lead, cols] * _inverses(seeds[lead, cols], q) % q
+    still = (MU == scale * seeds % q).all(axis=0)
+    if still.all():
+        return seeds
+    roots = np.array(poly_roots_mod(charpoly_mod(M, q), q), dtype=np.int64)
+    r = len(roots)
+    m = np.ones(1, dtype=np.int64)  # ascending coefficients of the product of x - lam
+    for lam in roots.tolist():
+        m = (np.concatenate(([0], m)) - lam * np.concatenate((m, [0]))) % q
+    # row l of y: m(x) / (x - roots[l]) by synthetic division, all rows at once
+    y = np.zeros((r, r), dtype=np.int64)
+    y[:, r - 1] = 1
+    for j in range(r - 1, 0, -1):
+        y[:, j - 1] = (m[j] + roots * y[:, j]) % q
+    krylov = [seeds[:, ~still], MU[:, ~still]][:r]
+    while len(krylov) < r:
+        krylov.append(M @ krylov[-1] % q)
+    P = np.tensordot(y, np.stack(krylov), axes=(1, 0)) % q  # (r, k, active seeds)
+    P = P.transpose(1, 0, 2).reshape(k, -1)
+    return np.concatenate((seeds[:, still], P[:, P.any(axis=0)]), axis=1)
+
+
+def _inverses(a, q):
+    """Inverses mod the prime q of the nonzero residues a, as an int64 array."""
+    return np.array([pow(int(x), q - 2, q) for x in a], dtype=np.int64)
 
 
 @lru_cache(maxsize=1024)
@@ -501,29 +572,31 @@ def _dft(n, zn_inv, q):
 
 
 def _lift_character(G, c_mod, d, q, z, e, power_cache):
-    """Exact values from mod-q values through power maps, as a coefficient matrix.
+    """Exact values of every row from its values mod q, through the power maps.
 
-    At a class of element order n (the length of its power map), the
-    multiplicity m_s of the eigenvalue zeta_n^s is (1/n) sum_t chi(g^t)
-    zeta_n^(-st) mod q.  The classes of one element order share one product
-    with _dft(n, ...); m_s is written into column s*e/n of a (k, e) count
-    matrix, and one product with the reduction matrix of Phi_e turns that into
-    the (k, phi(e)) power-basis coefficients.
+    c_mod is the (rows, k) matrix of character values mod q and d the vector
+    of the rows' degrees.  At a class of element order n (the length of its
+    power map), the multiplicity m_s of the eigenvalue zeta_n^s is
+    (1/n) sum_t chi(g^t) zeta_n^(-st) mod q.  The classes of one element order
+    share one product with _dft(n, ...) for all rows; m_s is written into
+    column s*e/n of a (rows, k, e) count array, and one product with the
+    reduction matrix of Phi_e turns that into the (rows, k, phi(e))
+    power-basis coefficients.
     """
-    counts = np.zeros((len(power_cache), e), dtype=np.int64)
-    c_mod = np.array(c_mod, dtype=np.int64)
+    rows, k = c_mod.shape
+    counts = np.zeros((rows, k, e), dtype=np.int64)
     by_order = {}
     for j, powers in enumerate(power_cache):
         by_order.setdefault(len(powers), []).append(j)
     for n, js in by_order.items():
         W = _dft(n, pow(pow(z, e // n, q), q - 2, q), q)
         # |partial sum| <= n (q - 1)^2
-        W, c = _widen(n * (q - 1) ** 2, W, c_mod[np.array([power_cache[j] for j in js])])
+        W, c = _widen(n * (q - 1) ** 2, W, c_mod[:, np.array([power_cache[j] for j in js])])
         m = c @ W % q
-        if (m > d).any():
+        if (m > d[:, None, None]).any():
             raise InternalInconsistencyError("multiplicity lift out of range")
-        counts[np.ix_(js, np.arange(n) * (e // n))] = m
-    return _reduce_powers(counts, e, np.arange(e))
+        counts[:, np.array(js)[:, None], np.arange(n) * (e // n)] = m
+    return _reduce_powers(counts.reshape(rows * k, e), e, np.arange(e)).reshape(rows, k, -1)
 
 
 def _dixon_once(G, q):
@@ -532,7 +605,7 @@ def _dixon_once(G, q):
     e = G.exponent()
     z = _root_of_unity(e, q)
     inv_class = np.array([index_of[cls.rep.inverse()] for cls in classes])
-    size_inv = np.array([pow(c.size, q - 2, q) for c in classes], dtype=np.int64)
+    size_inv = _inverses([c.size for c in classes], q)
     power_cache = []
     for cls in classes:
         g = cls.rep
@@ -542,25 +615,20 @@ def _dixon_once(G, q):
             pw.append(index_of[cur])
             cur = cur * g
         power_cache.append(pw)
-    rows = []
-    for u in _split_spaces(G, q):
-        # GF(q) arithmetic: every product of two residues is below (q - 1)^2 < 2^63
-        u = u % q
-        if u[0] == 0:
-            raise InternalInconsistencyError("central character vanishes at identity")
-        u = u * pow(int(u[0]), q - 2, q) % q
-        s = int((u * u[inv_class] % q * size_inv % q).sum()) % q
-        if s == 0:
-            raise InternalInconsistencyError("degree denominator vanished")
-        d2 = G.order() * pow(s, q - 2, q) % q
-        d = _sqrt_mod(d2, q)
-        if d is None:
-            raise InternalInconsistencyError("degree square has no root mod q")
-        if d > q - d:
-            d = q - d
-        c_mod = (u * d % q * size_inv % q).tolist()
-        coeffs = _lift_character(G, c_mod, d, q, z, e, power_cache)
-        rows.append(ClassFunction._from_coeffs(G, e, coeffs))
+    # GF(q) arithmetic, one row per central character: every product of two
+    # residues is below (q - 1)^2, and a sum of k residues below k q, < 2^63
+    U = _split_spaces(G, q) % q
+    if not U[:, 0].all():
+        raise InternalInconsistencyError("central character vanishes at identity")
+    U = U * _inverses(U[:, 0], q)[:, None] % q
+    s = (U * U[:, inv_class] % q * size_inv % q).sum(axis=1) % q
+    if not s.all():
+        raise InternalInconsistencyError("degree denominator vanished")
+    d = _sqrt_mod(G.order() % q * _inverses(s, q) % q, q)
+    if (d < 0).any():
+        raise InternalInconsistencyError("degree square has no root mod q")
+    coeffs = _lift_character(G, U * d[:, None] % q * size_inv % q, d, q, z, e, power_cache)
+    rows = [ClassFunction._from_coeffs(G, e, X) for X in coeffs]
     keys = _row_keys(rows)
     table = CharacterTable(G, [rows[i] for i in sorted(range(len(rows)), key=keys.__getitem__)], q)
     table.verify()

@@ -97,21 +97,23 @@ def charpoly_mod(A, q):
     if n == 0:
         return np.array([1], dtype=np.int64)
     H = _hessenberg(A, q)
-    # p_m(x) over leading principal minors of the Hessenberg form
-    polys = [np.array([1], dtype=np.int64)]
+    # p_m(x), the characteristic polynomial of the leading m x m block of H, is
+    # (x - H[m-1, m-1]) p_{m-1}(x) - sum_{i < m-1} H[i, m-1] t_i p_i(x), with
+    # t_i = H[i+1, i] ... H[m-1, m-2]; the sum is one product of the t-scaled
+    # column with the rows p_0, ..., p_{m-2} of P, inner dimension below n
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)
+    P[0, 0] = 1
+    t = np.zeros(n, dtype=np.int64)
     for m in range(1, n + 1):
-        prev = polys[m - 1]
-        p = np.zeros(m + 1, dtype=np.int64)
-        p[1:] += prev
-        p[:-1] -= (H[m - 1, m - 1] * prev) % q
-        prod = 1
-        for i in range(m - 2, -1, -1):
-            prod = (prod * H[i + 1, i]) % q
-            coef = (H[i, m - 1] * prod) % q
-            if coef:
-                p[: i + 1] -= (coef * polys[i]) % q
-        polys.append(p % q)
-    return polys[n]
+        if m > 1:
+            t[m - 2] = 1
+            t[: m - 1] = t[: m - 1] * H[m - 1, m - 2] % q
+        p = np.zeros(n + 1, dtype=np.int64)
+        p[1:] = P[m - 1, :-1]
+        p -= H[m - 1, m - 1] * P[m - 1] % q
+        p -= (H[: m - 1, m - 1] * t[: m - 1] % q) @ P[: m - 1] % q
+        P[m] = p % q
+    return P[n]
 
 
 def poly_roots_mod(coeffs, q):

@@ -472,6 +472,7 @@ def theorem_a_report(G, F, N):
         heads_nh = fprime_ascending(NH, F)
         over = inner_products([heads[a].restrict(NH) for a in checked], heads_nh)[1].any(axis=2)
         under = {a: [g for g, m in zip(heads_nh, row) if m] for a, row in zip(checked, over)}
+    normal = _subgroup_json(N)
     instances = []
     for a, (chi, inv) in enumerate(zip(heads, invs)):
         part_a = len(inv) == 1
@@ -499,7 +500,7 @@ def theorem_a_report(G, F, N):
         witnesses["part_b"] = part_b
         witnesses["part_c"] = part_c
         ok_all = part_a and part_b and (not part_c["checked"] or part_c["pass"])
-        inputs = {"character": _row_of(irr_g, chi), "normal": _subgroup_json(N)}
+        inputs = {"character": _row_of(irr_g, chi), "normal": normal}
         instances.append(instance(inputs, ok_all, witnesses))
     return report(
         "A", G, F, instances,

@@ -15,7 +15,7 @@ from formata.characters import ClassFunction, character_table
 from formata.cyclotomic import Cyclotomic, cyclotomic_poly, phi
 from formata.perms import Perm
 from formata.errors import DomainError, InternalInconsistencyError
-from formata.gfq import charpoly_mod, nullspace_mod, poly_roots_mod, rref_mod
+from formata.gfq import _check_modulus, _hessenberg, charpoly_mod, nullspace_mod, poly_roots_mod, rref_mod
 from formata.groups import (
     PermGroup,
     _class_matrix,
@@ -465,6 +465,31 @@ def oracle_conjugate_by(chi, t):
     G = chi.group
     idx = [G.class_of(cls.rep.conj(ti)) for cls in G.conjugacy_classes()]
     return ClassFunction._from_coeffs(G, chi.e, chi.coeffs[idx], chi.den)
+
+
+def oracle_charpoly(A, q):
+    """Characteristic polynomial mod q through the Hessenberg form, one minor's term at a time."""
+    A = np.array(A, dtype=np.int64) % q
+    n = A.shape[0]
+    _check_modulus(q, n)
+    if n == 0:
+        return np.array([1], dtype=np.int64)
+    H = _hessenberg(A, q)
+    # p_m(x) over leading principal minors of the Hessenberg form
+    polys = [np.array([1], dtype=np.int64)]
+    for m in range(1, n + 1):
+        prev = polys[m - 1]
+        p = np.zeros(m + 1, dtype=np.int64)
+        p[1:] += prev
+        p[:-1] -= (H[m - 1, m - 1] * prev) % q
+        prod = 1
+        for i in range(m - 2, -1, -1):
+            prod = (prod * H[i + 1, i]) % q
+            coef = (H[i, m - 1] * prod) % q
+            if coef:
+                p[: i + 1] -= (coef * polys[i]) % q
+        polys.append(p % q)
+    return polys[n]
 
 
 def oracle_split_spaces(G, q):

@@ -104,7 +104,7 @@ def test_character_table_reaches_the_traced_layers(monkeypatch):
         monkeypatch.setattr(Cyclotomic, attr, wrapped)
     s4 = generate(4, ["(0 1)", "(0 1 2 3)"])
     assert characters.character_table(s4).degrees() == [1, 1, 2, 3, 3]
-    assert calls["lift"] >= 5
+    assert calls["lift"] == 1  # one batched lift per table
     assert calls["verify"] == 1
     assert calls["inner"] >= 15
     assert calls["cyclotomic"] > 0

@@ -329,10 +329,12 @@ def test_lift_matches_oracle_on_catalog(monkeypatch):
         G = generate(entry.degree, entry.words)
         calls.clear()
         character_table(G)
-        assert len(calls) >= len(G.conjugacy_classes())
-        for args, coeffs in calls:
-            lifted = ClassFunction._from_coeffs(G, args[5], coeffs).values
-            want = oracle_lift(*args)
+        assert len(calls) == 1  # one batched lift for every row of the table
+        (G_, c_mod, d, q, z, e, power_cache), coeffs = calls[0]
+        assert len(coeffs) == len(c_mod) == len(d) == len(G.conjugacy_classes())
+        for row, X, degree in zip(c_mod.tolist(), coeffs, d.tolist()):
+            lifted = ClassFunction._from_coeffs(G, e, X).values
+            want = oracle_lift(G_, row, degree, q, z, e, power_cache)
             assert all(same_cyclotomic(x, y) for x, y in zip(lifted, want)), entry.name
 
 

@@ -21,9 +21,10 @@ from formata.cli import VERIFY_FORMATIONS
 from formata.cyclotomic import Cyclotomic
 from formata.errors import DomainError
 from formata.formations import Formation, projector
-from formata.groups import PermGroup, generate, normal_subgroups
+from formata.groups import PermGroup, _class_matrix, generate, normal_subgroups
 from formata.headchars import fprime_ascending, theorem_a_report
 from formata.perms import Perm
+from _products import direct_product
 from test_class_support import benchmark_products
 
 CATALOG = [entry.name for entry in load_catalog()]
@@ -192,10 +193,67 @@ def test_split_matches_oracle_on_tables_products(G):
 
 
 def assert_split_matches_oracle(G):
+    # the split's order and scale are free: _dixon_once scales to 1 at class 0 and sorts the rows
     q = characters._admissible_prime(G.exponent(), G.order())
     got, want = characters._split_spaces(G, q), oracle_split_spaces(G, q)
     assert len(got) == len(want)
-    assert all(np.array_equal(u, v) for u, v in zip(got, want))
+    assert at_class_0(got, q) == at_class_0(want, q)
+
+
+def at_class_0(vectors, q):
+    """The vectors mod q, each scaled to 1 at class 0, as a set."""
+    assert all(int(u[0]) % q for u in vectors)
+    return {tuple((np.asarray(u) * pow(int(u[0]), q - 2, q) % q).tolist()) for u in vectors}
+
+
+def assert_split_is_certified(G):
+    """k vectors, pairwise not proportional, each an eigenvector of every class matrix mod q."""
+    q = characters._admissible_prime(G.exponent(), G.order())
+    k = len(G.conjugacy_classes())
+    U = np.asarray(characters._split_spaces(G, q)) % q
+    assert U.shape == (k, k) and len(at_class_0(U, q)) == k
+    for i in range(k):
+        AU = _class_matrix(G, i) % q @ U.T % q  # column j is A_i applied to vector j
+        scale = AU[0] * np.array([pow(int(x), q - 2, q) for x in U[:, 0]]) % q
+        assert np.array_equal(AU, U.T * scale % q), i
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_split_is_certified_on_catalog(name):
+    assert_split_is_certified(catalog_group(name))
+
+
+@pytest.mark.parametrize("G", [pytest.param(G, id=label) for label, G in benchmark_products(("tables",))])
+def test_split_is_certified_on_tables_products(G):
+    assert_split_is_certified(G)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        pytest.param(direct_product(catalog_group("C6"), catalog_group("C6")), id="C6xC6"),
+        pytest.param(direct_product(catalog_group("C12"), catalog_group("C12")), id="C12xC12"),
+        pytest.param(generate(12, ["(%d %d)" % (i, i + 1) for i in range(0, 12, 2)]), id="C2^6"),
+    ],
+)
+def test_split_past_the_generic_rounds_is_certified(monkeypatch, G):
+    # k > q on all three (36 > 13, 144 > 37, 64 > 17): single class matrices finish the split
+    rounds = []
+    real = characters._project
+
+    def counting(M, seeds, q):
+        rounds.append(M)
+        return real(M, seeds, q)
+
+    monkeypatch.setattr(characters, "_project", counting)
+    q = characters._admissible_prime(G.exponent(), G.order())
+    assert len(G.conjugacy_classes()) > q
+    characters._split_spaces(G, q)
+    assert len(rounds) > characters._GENERIC_ROUNDS
+    i = len(rounds) - characters._GENERIC_ROUNDS  # the last round ran on A_i
+    assert np.array_equal(rounds[-1], _class_matrix(G, i) % q)
+    monkeypatch.undo()
+    assert_split_is_certified(G)
 
 
 def slow_product(p, q):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import oracle_sqrt_mod
+from _oracles import oracle_charpoly, oracle_sqrt_mod
 from formata import gfq
 from formata.characters import _sqrt_mod
 from formata.errors import DomainError
@@ -48,6 +48,23 @@ def test_charpoly_matches_faddeev_leverrier(rows):
     got = gfq.charpoly_mod(A, Q)
     ref = [int(c) % Q for c in frac_charpoly(A)]
     assert list(got) == ref
+
+
+PRIMES_TO_337 = [p for p in range(2, 338) if is_prime(p)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=60),
+    st.sampled_from(PRIMES_TO_337),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([0, 5, 9]),
+)
+def test_charpoly_matches_the_term_by_term_oracle(n, q, seed, zeros):
+    # sparse matrices reach the Hessenberg reduction's zero columns and zero subdiagonals
+    rng = np.random.default_rng(seed)
+    A = rng.integers(0, q, size=(n, n)) * (rng.integers(0, 10, size=(n, n)) >= zeros)
+    assert gfq.charpoly_mod(A, q).tolist() == oracle_charpoly(A, q).tolist()
 
 
 @settings(max_examples=40, deadline=None)

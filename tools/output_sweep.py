@@ -28,7 +28,10 @@ the catalog's.  The wreath product S4 wr C2 (order 1152), the largest group
 of the sweep, is written the same way, and the sweep prints its projector,
 its canonical series and ``verify thm-b`` (text and JSON) for each
 formation: under two of them Theorem B's M is trivial, so the heads of G are
-checked against those of G/1, which is G itself.  The residual and the
+checked against those of G/1, which is G itself.  The sweep prints the
+character table (text and JSON) of S4 wr C2 and of C6 x C6, whose 36 classes
+outnumber the 13 elements of the field Dixon's method works in, so the split
+of the class algebra goes past its generic rounds to single class matrices.  The residual and the
 projector are also printed for one more descriptor per residual route
 (``ROUTE_FORMATIONS``) on the catalog, the ``ladder`` products and C2^5, and
 the residual alone on A5, where the routes must hold for a nonsolvable group
@@ -69,6 +72,8 @@ ROUTE_FORMATIONS = (
 REFUSAL_FILES = {"A5.grp": "degree 5\n(0 1 2 3 4)\n(0 1 2)\n", "trivial.grp": "degree 3\n"}
 C2_5 = ("C2^5.grp", "degree 10\n" + "".join("(%d %d)\n" % (i, i + 1) for i in range(0, 10, 2)))
 S4_WR_C2 = ("S4wrC2.grp", "degree 8\n(0 1)\n(0 1 2 3)\n(4 5)\n(4 5 6 7)\n(0 4)(1 5)(2 6)(3 7)\n")
+# 36 classes against the prime 13: Dixon's split runs past its generic rounds
+C6_C6 = ("C6xC6.grp", "degree 12\n(0 1 2 3 4 5)\n(6 7 8 9 10 11)\n")
 INVALID_FORMATIONS = ("p-groups:4", "pi-groups:", "nilpotent:3", "nilpotent-length:0")
 ROOT_COMMANDS = (
     ["residual", "S4", "--formation", "pi-groups:3"],
@@ -95,12 +100,12 @@ USAGE_ERRORS = (
 
 
 def write_group_files():
-    """The refusal files and the benchmark, C2^5 and S4 wr C2 groups, in the working directory.
+    """The refusal files and the benchmark, C2^5, S4 wr C2 and C6 x C6 groups, in the working directory.
 
     Returns the names of the ``tables`` product files and of the ``ladder``
     product files.
     """
-    for name, text in (*REFUSAL_FILES.items(), C2_5, S4_WR_C2):
+    for name, text in (*REFUSAL_FILES.items(), C2_5, S4_WR_C2, C6_C6):
         with open(name, "w", encoding="utf-8") as fh:
             fh.write(text)
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
@@ -151,6 +156,9 @@ def commands(products, ladder):
         for formation in FORMATIONS:
             for form in ([], ["--json"]):
                 out.append(["verify", "thm-a", name, "--formation", formation, *form])
+    for name in (S4_WR_C2[0], C6_C6[0]):
+        out.append(["table", name])
+        out.append(["table", name, "--json"])
     for formation in FORMATIONS:
         out.append(["projector", S4_WR_C2[0], "--formation", formation])
         out.append(["series", S4_WR_C2[0], "--formation", formation, "--json"])
