@@ -60,7 +60,7 @@ from .cyclotomic import (
 )
 from .errors import InternalInconsistencyError
 from .gfq import _check_modulus, charpoly_mod, poly_roots_mod
-from .groups import _element_keys, _element_rows, is_prime, mask_subgroup, prime_divisors
+from .groups import class_products, is_prime, mask_subgroup, prime_divisors
 
 
 def _row_keys(rows):
@@ -474,7 +474,7 @@ def _split_spaces(G, q):
     """One vector mod q per central character of G, each a joint eigenvector of the class matrices.
 
     The central characters omega_chi are the joint eigenvectors of the class
-    matrices A_i = _class_matrix(G, i), with eigenvalue omega_chi(C_i) on A_i.
+    matrices A_i (groups.class_products), with eigenvalue omega_chi(C_i) on A_i.
     The indicator e_0 of the identity class is sum_chi (chi(1)^2/|G|) omega_chi,
     and every coefficient is nonzero mod q, because q does not divide |G| and
     q > 2 chi(1).  So the projection of e_0 onto an eigenspace of any element
@@ -489,11 +489,15 @@ def _split_spaces(G, q):
     seeds are then sums over disjoint sets of central characters, so there
     are k of them exactly when each is proportional to one omega_chi.
 
-    Every M is a class sum M = sum_i c_i A_i, built from one gather over G's
-    elements.  Round r < _GENERIC_ROUNDS takes c_i = (r + 2)^i mod q, a
-    generic element whose eigenvalues separate the central characters unless
-    k > q or values collide; then the split goes on with A_1, A_2, ... in
-    order (c a unit vector), which separate all central characters.
+    Every M is a class sum M = sum_i c_i A_i, counted from class_products:
+    M[j, t] is the sum of c_i over the y with js[t, y] = j and y^-1 in C_i.
+    Round r < _GENERIC_ROUNDS takes c_i = a^(i mod q) with a = g^(r + 1), g
+    a primitive root mod q: a generic element, whose eigenvalues separate the
+    central characters unless k > q or values collide; then A_1, A_2, ...
+    finish the split in order (c a unit vector).  Plain powers a^i repeat
+    with a period dividing q - 1, which can line up with the class order (on
+    C2^6, q = 17, sum_i g^i A_i is 0 on 56 of the 64 central characters);
+    i mod q has period q, which does not divide |G|.
 
     Returns the (k, k) array of the seeds as rows, in no particular order or
     scale.  Bounds on every entry and partial sum before a reduction mod q:
@@ -502,22 +506,17 @@ def _split_spaces(G, q):
     """
     k = len(G.conjugacy_classes())
     _check_modulus(q, k)
-    _, base_images, row_class, reps = _element_keys(G)
-    inv_class = np.array([G.class_of(c.rep.inverse()) for c in G.conjugacy_classes()])
-    # js[t, y]: the class of y * rep_t for every class t and every y in G, one
-    # gather.  A_i[j, t] counts the y with y^-1 in C_i and y * rep_t in C_j, so
-    # M[j, t] is the sum of c_i over the y with js[t, y] = j, C_i holding y^-1
-    js = row_class[_element_rows(G, reps[:, base_images])]
+    js, inverse = class_products(G)
     ts = np.broadcast_to(np.arange(k)[:, None], js.shape)
-    weight_class = inv_class[row_class]
-    generic = (np.array([pow(r + 2, i, q) for i in range(k)], dtype=np.int64) for r in range(_GENERIC_ROUNDS))
+    g = _root_of_unity(q - 1, q)
+    generic = (np.array([pow(g, (r + 1) * (i % q), q) for i in range(k)], dtype=np.int64) for r in range(_GENERIC_ROUNDS))
     seeds = np.zeros((k, 1), dtype=np.int64)
     seeds[0, 0] = 1
     for c in chain(generic, np.eye(k, dtype=np.int64)[1:]):
         if seeds.shape[1] >= k:
             break
         M = np.zeros((k, k), dtype=np.int64)
-        np.add.at(M, (js, ts), c[weight_class])
+        np.add.at(M, (js, ts), c[inverse])
         seeds = _project(M % q, seeds, q)
     if seeds.shape[1] != k:
         raise InternalInconsistencyError("class matrices failed to split the space")
@@ -604,7 +603,6 @@ def _dixon_once(G, q):
     index_of = G.class_index()
     e = G.exponent()
     z = _root_of_unity(e, q)
-    inv_class = np.array([index_of[cls.rep.inverse()] for cls in classes])
     size_inv = _inverses([c.size for c in classes], q)
     power_cache = []
     for cls in classes:
@@ -615,6 +613,7 @@ def _dixon_once(G, q):
             pw.append(index_of[cur])
             cur = cur * g
         power_cache.append(pw)
+    inv_class = np.array([pw[-1] for pw in power_cache])  # the class of g^-1 = g^(n-1)
     # GF(q) arithmetic, one row per central character: every product of two
     # residues is below (q - 1)^2, and a sum of k residues below k q, < 2^63
     U = _split_spaces(G, q) % q

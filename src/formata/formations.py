@@ -6,8 +6,9 @@ nilpotent length).  All of these are saturated, so projectors exist in every
 finite solvable group; the usual minimal-normal-subgroup recursion, with a
 complement step at the bottom, finds one, and its least conjugate is returned.
 
-Residuals and membership are decided on G's class masks, by closures on its
-class support (``groups.class_support``), and no quotient group is built.
+Residuals, membership and solvability (the derived series) are decided on
+G's class masks, by closures on its class support (``groups.class_support``),
+and no quotient group is built.
 The residual of a product formation is a composition, (G^H)^F: nilpotent is
 gamma_inf(G), bounded nilpotent length k is gamma_inf applied k times
 (metanilpotent: k = 2), p-groups and pi-groups give O^pi(G), the closure of

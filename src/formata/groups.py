@@ -1,4 +1,13 @@
-"""Permutation groups: stabilizer chains, subgroup machinery, quotients, series."""
+"""Permutation groups: stabilizer chains, subgroup machinery, quotients, series.
+
+A normal subgroup of G is a class mask, a bitmask over G's conjugacy classes
+closed under G's class support: the masks of the classes in each product
+C_i*C_j, read off one gather of class products over G's elements
+(``class_products``), which Dixon's split in ``characters`` counts its class
+sums from too.  Normal closures, commutators, the derived series and
+solvability, chief steps and minimal normal subgroups are closures on the
+support, and the centre is the union of the classes of size one.
+"""
 
 from __future__ import annotations
 
@@ -155,7 +164,8 @@ class PermGroup:
     the read-only int64 array of their sizes ``_class_sizes``, the
     element lookup by base images ``_element_keys`` (see ``_element_keys``),
     the class-product support ``_class_support`` (``class_support``), which
-    every normal-subgroup question reads, and the lattice filled by
+    every normal-subgroup question reads, the derived series (memoized) and
+    the centre included, and the lattice filled by
     ``normal_subgroups`` only where a result lists it: ``_normals`` and the
     dict ``_normal_masks`` from each normal subgroup's class mask to the
     subgroup (in the order of ``_normals``, read through ``normal_masks``).
@@ -364,31 +374,34 @@ class PermGroup:
         except KeyError:
             raise DomainError("element outside the group") from None
 
-    # -- derived and solvability ----------------------------------------------
+    # -- derived series and centre, as class masks ----------------------------
 
     def derived_subgroup(self):
-        gens = self.generators
-        return self.memo(
-            ("derived", self),
-            lambda: normal_closure(self, [a.commutator(b) for a in gens for b in gens]),
-        )
+        """G' = [G, G], a closure on G's class support (commutator_mask)."""
+        full = _full_mask(self)
+        return self.memo(("derived", self), lambda: mask_subgroup(self, commutator_mask(self, full, full)))
 
     def derived_series(self):
-        series = [self]
-        while True:
-            d = series[-1].derived_subgroup()
-            if d.order() == series[-1].order():
-                break
-            series.append(d)
-            if d.order() == 1:
-                break
-        return series
+        """G, G', G'', ... down to the first perfect term; memoized.
+
+        Each term is characteristic in G, so it is a class mask of G, and the
+        next term is its commutator_mask with itself.
+        """
+
+        def compute():
+            masks = [_full_mask(self)]
+            while (m := commutator_mask(self, masks[-1], masks[-1])) != masks[-1]:
+                masks.append(m)
+            return tuple(mask_subgroup(self, m) for m in masks)
+
+        return list(self.memo(("derived_series", self), compute))
 
     def is_solvable(self):
         return self.derived_series()[-1].order() == 1
 
     def center(self):
-        return centralizer(self, self)
+        """Z(G): the union of the classes of size one."""
+        return mask_subgroup(self, sum(1 << i for i, c in enumerate(self.conjugacy_classes()) if c.size == 1))
 
 
 def _greedy_generators(degree, elements):
@@ -441,24 +454,6 @@ def closure_elements(degree, gens, cap=None):
     return found
 
 
-def normal_closure(G, seed):
-    """Smallest subgroup of G containing seed and normal in G."""
-    gens = [g for g in seed if not g.is_identity()]
-    span = closure_elements(G.degree, gens)
-    while True:
-        new = []
-        for x in gens:
-            for g in G.generators:
-                c = x.conj(g)
-                if c not in span:
-                    new.append(c)
-        if not new:
-            break
-        gens.extend(new)
-        span = closure_elements(G.degree, gens)
-    return PermGroup.from_elements(G, span)
-
-
 def intersection(A, B):
     """Subgroup intersection via element sets (desk scale)."""
     if A.degree != B.degree:
@@ -493,18 +488,6 @@ def is_invariant_under(U, H):
     """True when conjugation by H's generators maps U into itself."""
     uset = U.element_set()
     return all(u.conj(h) in uset for u in U.generators for h in H.generators)
-
-
-def centralizer(G, x):
-    """Centralizer of an element or of a subgroup's generator set."""
-    if isinstance(x, Perm):
-        targets = [x]
-    else:
-        targets = list(x.generators)
-    members = [
-        g for g in G.elements() if all(g * t == t * g for t in targets)
-    ]
-    return PermGroup.from_elements(G, members)
 
 
 def normalizer(G, U):
@@ -633,34 +616,39 @@ def _element_rows(G, points):
     return key
 
 
-def _class_matrix(G, i):
-    """Matrix A with A[j][t] = #{x in C_i : x^-1 * rep_t in C_j}.
+def class_products(G):
+    """(js, inverse): js[t, y] is the class of y * rep_t, and inverse[y] the class of y^-1.
 
-    A[j][t] counts the ways to write rep_t as x*y with x in C_i and y in C_j,
-    so it is nonzero exactly when C_t lies in C_i*C_j.  The x^-1 run over the
-    class of inverses, and (y * z)(b) = z(y(b)), so the products' base images
-    are one gather of the representatives' images at the base images of that
-    class; _element_rows turns them into rows, and rows into classes.
+    t runs over the classes and y over the rows of G.elements(), so js is a
+    (k, |G|) array.  The structure constants of the class algebra are counts
+    in it: A_i[j, t] = #{x in C_i : x^-1 * rep_t in C_j} is the number of y
+    with inverse[y] = i and js[t, y] = j.  (y * z)(b) = z(y(b)), so the base
+    images of all the products are one gather of the representatives' images
+    at the base images of G's elements; _element_rows turns them into rows,
+    and rows into classes.  Not cached: the class support and Dixon's split
+    each read it once.
     """
     _, base_images, row_class, reps = _element_keys(G)
-    k = len(reps)
-    inverses = base_images[row_class == G.class_of(G.conjugacy_classes()[i].rep.inverse())]
-    js = row_class[_element_rows(G, reps[:, inverses])].astype(np.int64)  # (k, |C_i|)
-    return np.bincount((js * k + np.arange(k)[:, None]).ravel(), minlength=k * k).reshape(k, k)
+    inverse = np.array([G.class_of(c.rep.inverse()) for c in G.conjugacy_classes()], dtype=np.int64)
+    return row_class[_element_rows(G, reps[:, base_images])], inverse[row_class]
 
 
 def class_support(G):
     """The class product support of G, cached on G.
 
-    Entry (i, j) is the mask of the classes in C_i*C_j, read off the structure
-    constants of _class_matrix (one gather per class); no normal subgroup is
-    built.  Every normal-subgroup question reads it.
+    Entry (i, j) is the mask of the classes in C_i*C_j: C_t lies in it iff
+    A_i[j, t] > 0 (see class_products).  The triples (i, j, t) are read off
+    class_products in one pass, as the distinct keys (i k + j) k + t, at
+    most k |G| of them; no normal subgroup is built.  Every normal-subgroup
+    question reads it.
     """
     if G._class_support is None:
-        support = []
-        for i in range(len(G.conjugacy_classes())):
-            packed = np.packbits(_class_matrix(G, i) != 0, axis=1, bitorder="little")
-            support.append([int.from_bytes(row.tobytes(), "little") for row in packed])
+        js, inverse = class_products(G)
+        k = len(js)
+        support = [[0] * k for _ in range(k)]
+        for key in np.unique((inverse * k + js) * k + np.arange(k)[:, None]).tolist():
+            pair, t = divmod(key, k)
+            support[pair // k][pair % k] |= 1 << t
         G._class_support = support
     return G._class_support
 

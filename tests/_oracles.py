@@ -18,7 +18,6 @@ from formata.errors import DomainError, InternalInconsistencyError
 from formata.gfq import _check_modulus, _hessenberg, charpoly_mod, nullspace_mod, poly_roots_mod, rref_mod
 from formata.groups import (
     PermGroup,
-    _class_matrix,
     closure_elements,
     complement,
     is_normal_in,
@@ -73,6 +72,35 @@ def brute_derived(G):
 def brute_center(G):
     elts = G.elements()
     return sorted(x for x in elts if all(x * g == g * x for g in elts))
+
+
+def oracle_normal_closure(G, seed):
+    """Smallest subgroup of G containing seed and normal in G, by Perm conjugation and closures."""
+    gens = [g for g in seed if not g.is_identity()]
+    span = closure_elements(G.degree, gens)
+    while True:
+        new = []
+        for x in gens:
+            for g in G.generators:
+                c = x.conj(g)
+                if c not in span:
+                    new.append(c)
+        if not new:
+            break
+        gens.extend(new)
+        span = closure_elements(G.degree, gens)
+    return PermGroup.from_elements(G, span)
+
+
+def oracle_derived_series(G):
+    """G, G', G'', ... to the first perfect term, each the normal closure of its generators' commutators."""
+    series = [G]
+    while True:
+        gens = series[-1].generators
+        D = oracle_normal_closure(series[-1], [a.commutator(b) for a in gens for b in gens])
+        if D.order() == series[-1].order():
+            return series
+        series.append(D)
 
 
 def brute_normal_subgroups(G):
@@ -141,8 +169,8 @@ def oracle_normal_subgroups(G):
 def oracle_class_matrix(G, i):
     """Matrix A with A[j][t] = #{x in C_i : x^-1 * rep_t in C_j}, by Perm products.
 
-    The k*|G| Python products that the base-image gathers of
-    groups._class_matrix replaced.
+    The k*|G| Python products that the one base-image gather of
+    groups.class_products replaced.
     """
     classes = G.conjugacy_classes()
     index = G.class_index()
@@ -500,7 +528,7 @@ def oracle_split_spaces(G, q):
     for i in range(1, k):
         if all(B.shape[0] == 1 for B, _ in spaces):
             break
-        A = _class_matrix(G, i)
+        A = oracle_class_matrix(G, i)
         nxt = []
         for B, piv in spaces:
             d = B.shape[0]

@@ -169,18 +169,18 @@ def test_fresh_group_reaches_closure_and_lattice_after_warm_memos(monkeypatch):
     warm_support = groups.class_support(warm)
     calls = count_module_calls(monkeypatch, ("closure_elements", "normal_subgroups"))
     s4 = generate(4, words)
-    v4 = s4.derived_subgroup().derived_subgroup()
+    assert s4._class_support is None  # the class support is computed anew, not shared
+    v4 = s4.derived_subgroup().derived_subgroup()  # a closure on s4's own class support
+    assert s4._class_support is not None and s4._class_support is not warm_support
+    assert groups.class_support(warm) is warm_support
     d8 = groups.sylow(s4, 2)
     assert v4.element_set() == warm_v4.element_set() and v4 is not warm_v4
     calls.clear()
     assert groups.subgroup_product(v4, d8).order() == 8
     assert calls["closure_elements"] > 0
-    assert s4._class_support is None  # the class support is computed anew, not shared
     calls.clear()
     assert theorem_54_report(s4, Formation.parse("nilpotent"))["summary"]["all_pass"]
     assert calls["closure_elements"] > 0
-    assert s4._class_support is not None and s4._class_support is not warm_support
-    assert groups.class_support(warm) is warm_support
     assert calls["normal_subgroups"] == 0 and s4._normals is None
     # the lattice, where a result still lists it, is the fresh group's own too
     G = fresh_2s4()

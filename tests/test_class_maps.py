@@ -21,11 +21,11 @@ from formata.cli import VERIFY_FORMATIONS
 from formata.cyclotomic import Cyclotomic
 from formata.errors import DomainError
 from formata.formations import Formation, projector
-from formata.groups import PermGroup, _class_matrix, generate, normal_subgroups
+from formata.groups import PermGroup, class_products, generate, normal_subgroups
 from formata.headchars import fprime_ascending, theorem_a_report
 from formata.perms import Perm
 from _products import direct_product
-from test_class_support import benchmark_products
+from test_class_support import benchmark_products, class_matrix
 
 CATALOG = [entry.name for entry in load_catalog()]
 
@@ -212,8 +212,9 @@ def assert_split_is_certified(G):
     k = len(G.conjugacy_classes())
     U = np.asarray(characters._split_spaces(G, q)) % q
     assert U.shape == (k, k) and len(at_class_0(U, q)) == k
+    products = class_products(G)
     for i in range(k):
-        AU = _class_matrix(G, i) % q @ U.T % q  # column j is A_i applied to vector j
+        AU = class_matrix(G, i, products) % q @ U.T % q  # column j is A_i applied to vector j
         scale = AU[0] * np.array([pow(int(x), q - 2, q) for x in U[:, 0]]) % q
         assert np.array_equal(AU, U.T * scale % q), i
 
@@ -237,7 +238,9 @@ def test_split_is_certified_on_tables_products(G):
     ],
 )
 def test_split_past_the_generic_rounds_is_certified(monkeypatch, G):
-    # k > q on all three (36 > 13, 144 > 37, 64 > 17): single class matrices finish the split
+    # k > q on all three (36 > 13, 144 > 37, 64 > 17), so one round, with at
+    # most q eigenvalues, cannot split the space: with one generic round,
+    # single class matrices must finish the split
     rounds = []
     real = characters._project
 
@@ -249,9 +252,15 @@ def test_split_past_the_generic_rounds_is_certified(monkeypatch, G):
     q = characters._admissible_prime(G.exponent(), G.order())
     assert len(G.conjugacy_classes()) > q
     characters._split_spaces(G, q)
-    assert len(rounds) > characters._GENERIC_ROUNDS
-    i = len(rounds) - characters._GENERIC_ROUNDS  # the last round ran on A_i
-    assert np.array_equal(rounds[-1], _class_matrix(G, i) % q)
+    assert len(rounds) <= characters._GENERIC_ROUNDS + 1  # C2^6 took 35 rounds with c_i = (r + 2)^i
+    rounds.clear()
+    monkeypatch.setattr(characters, "_GENERIC_ROUNDS", 1)
+    characters._split_spaces(G, q)
+    assert len(rounds) > 1
+    i = len(rounds) - 1  # the last round ran on A_i
+    assert np.array_equal(rounds[-1], class_matrix(G, i) % q)
+    monkeypatch.setattr(characters, "_project", real)
+    assert_split_is_certified(G)
     monkeypatch.undo()
     assert_split_is_certified(G)
 

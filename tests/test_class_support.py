@@ -1,4 +1,4 @@
-"""The class support by base-image gathers, and the questions answered from closures on it.
+"""The class products by one base-image gather, the class support read off them, and the questions answered from closures on it.
 
 Minimal normal subgroups are compared with the oracle lattice, in order, on
 the catalog and on the Hypothesis products in test_groups.py.
@@ -18,9 +18,9 @@ from formata.errors import InternalInconsistencyError
 from formata.formations import Formation, projector, residual
 from formata.groups import (
     PermGroup,
-    _class_matrix,
     _element_keys,
     _element_rows,
+    class_products,
     class_support,
     generate,
     minimal_normal_subgroups,
@@ -49,9 +49,17 @@ def benchmark_products(names=("tables", "ladder")):
     ]
 
 
+def class_matrix(G, i, products=None):
+    """A_i[j, t] = #{y : y^-1 in C_i, y * rep_t in C_j}, a bincount of class_products(G)."""
+    js, inverse = class_products(G) if products is None else products
+    k = len(js)
+    return np.bincount((js[:, inverse == i] * k + np.arange(k)[:, None]).ravel(), minlength=k * k).reshape(k, k)
+
+
 def assert_class_matrices_match_oracle(G):
+    products = class_products(G)
     for i in range(len(G.conjugacy_classes())):
-        assert np.array_equal(_class_matrix(G, i), oracle_class_matrix(G, i)), i
+        assert np.array_equal(class_matrix(G, i, products), oracle_class_matrix(G, i)), i
 
 
 @pytest.mark.parametrize("entry", load_catalog(), ids=lambda entry: entry.name)
@@ -95,6 +103,22 @@ def test_class_support_is_cached_and_symmetric():
     k = len(support)
     assert all(support[i][j] == support[j][i] for i in range(k) for j in range(k))
     assert all(support[0][j] == 1 << j for j in range(k))
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        pytest.param(catalog_group("2S4"), id="2S4"),
+        pytest.param(elementary_abelian_2(5), id="C2^5"),
+        # 75 classes: masks wider than 64 bits
+        pytest.param(direct_product(*(catalog_group(n) for n in ("S4", "S4", "S3"))), id="S4xS4xS3"),
+    ],
+)
+def test_class_support_is_the_nonzero_pattern_of_the_class_matrices(G):
+    products, support = class_products(G), class_support(G)
+    for i in range(len(support)):
+        A = class_matrix(G, i, products)
+        assert support[i] == [sum(1 << t for t in np.flatnonzero(row).tolist()) for row in A], i
 
 
 @pytest.mark.parametrize("n", [6, 7])

@@ -17,7 +17,6 @@ from formata.catalog import catalog_group, load_catalog
 from formata.errors import CapacityError, DomainError
 from formata.groups import (
     PermGroup,
-    centralizer,
     chief_series,
     complement,
     generate,
@@ -70,8 +69,8 @@ def test_s4_classes_match_oracle_and_frozen(s4):
     assert classes[0].representative.is_identity()
     for c in classes:
         assert c.representative == c.elements[0]
-        cent = centralizer(s4, c.representative)
-        assert c.size * cent.order() == s4.order()
+        x = c.representative
+        assert c.size * sum(g * x == x * g for g in s4.elements()) == s4.order()
 
 
 def test_class_index(s4):
@@ -194,11 +193,7 @@ def test_sylow(s4, q8):
         sylow(s4, 4)
 
 
-def test_centralizer_normalizer(s4, v4):
-    x = parse_cycles("(0 1)(2 3)", 4)
-    cent = centralizer(s4, x)
-    assert all(g * x == x * g for g in cent.elements())
-    assert cent.order() == 8
+def test_normalizer(s4, v4):
     C3 = PermGroup(4, [parse_cycles("(0 1 2)", 4)])
     N = normalizer(s4, C3)
     assert N.order() == 6

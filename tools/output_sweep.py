@@ -28,7 +28,9 @@ the catalog's.  The wreath product S4 wr C2 (order 1152), the largest group
 of the sweep, is written the same way, and the sweep prints its projector,
 its canonical series and ``verify thm-b`` (text and JSON) for each
 formation: under two of them Theorem B's M is trivial, so the heads of G are
-checked against those of G/1, which is G itself.  The sweep prints the
+checked against those of G/1, which is G itself.  It also prints ``verify
+thm-c`` (text and JSON) on S4 wr C2 for p = 2, which takes the derived
+subgroup of a Sylow 2-subgroup of order 128, and for p = 3.  The sweep prints the
 character table (text and JSON) of S4 wr C2 and of C6 x C6, whose 36 classes
 outnumber the 13 elements of the field Dixon's method works in, so the split
 of the class algebra goes past its generic rounds to single class matrices.  The residual and the
@@ -164,6 +166,10 @@ def commands(products, ladder):
         out.append(["series", S4_WR_C2[0], "--formation", formation, "--json"])
         for form in ([], ["--json"]):
             out.append(["verify", "thm-b", S4_WR_C2[0], "--formation", formation, *form])
+    # a Sylow 2-subgroup of order 128, whose derived subgroup Theorem C takes
+    for prime in ("2", "3"):
+        for form in ([], ["--json"]):
+            out.append(["verify", "thm-c", S4_WR_C2[0], "--prime", prime, *form])
     for formation in ROUTE_FORMATIONS:
         for name in (*catalog_names(), *lattice_groups):
             out.append(["residual", name, "--formation", formation])
