@@ -30,6 +30,18 @@ functions on one group with one matrix product, of which
 ``ClassFunction.inner`` is the 1 x 1 case; Theorem A's constituent sweeps
 are one such product per report.
 
+A ``CharacterTable`` answers questions about its rows with one array
+operation on their (n, k, phi(m)) stack over a multiple m of the rows'
+conductor (the row kernels).  ``index`` finds a class function among the rows
+by one dict lookup of its coefficient bytes, so ``is_irreducible`` of a
+character on a group whose table is built needs no inner product;
+``extensions`` gathers the stack by a subgroup's fusion map once and then
+lists the rows restricting to a character of the subgroup by one lookup;
+``invariant_rows`` compares the stack with its gather by the class
+permutation of each generator of a normalizing group; ``twists`` multiplies
+stacked rows by one class function in one product.  The head-character code
+reads these instead of building and comparing one class function per row.
+
 Integer kernels run in int64 only while an explicit bound on every entry and
 partial sum, stated at each kernel, stays below 2^63; past it the same numpy
 code runs on Python ints (object dtype).
@@ -289,9 +301,22 @@ class ClassFunction:
         return _cyclotomic(e, tuple(r.tolist()), G.order() * self.den * other.den)
 
     def is_irreducible(self):
+        """Whether this character is irreducible, memoized on it.
+
+        Once the group's table is built, that is whether the character is one
+        of its rows (``CharacterTable.index``); before, whether <chi, chi> = 1.
+        The two agree on every character, and no table is built to answer.  A
+        class function that is not a character can have norm 1 without being
+        a row (-chi, or half the sum of four rows); the answer is defined for
+        characters.
+        """
         if self._irreducible is None:
-            v = self.inner(self)
-            self._irreducible = v.is_rational() and v.as_fraction() == 1
+            table = _built_table(self.group)
+            if table is not None:
+                self._irreducible = table.index(self) is not None
+            else:
+                v = self.inner(self)
+                self._irreducible = v.is_rational() and v.as_fraction() == 1
         return self._irreducible
 
     def restrict(self, sub):
@@ -300,11 +325,7 @@ class ClassFunction:
         The fusion map, from sub's classes to this group's classes, is built
         once and kept in the memo of sub's root.
         """
-        G = self.group
-        fusion = sub.memo(
-            ("fusion", sub, G), lambda: _class_map(G.class_of(c.rep) for c in sub.conjugacy_classes())
-        )
-        return self._rows(fusion, sub)
+        return self._rows(_fusion(self.group, sub), sub)
 
     def induce(self, big):
         """Induced class function on an overgroup containing this group."""
@@ -327,15 +348,17 @@ class ClassFunction:
         The class permutation of t does not depend on the class function; it
         is built once and kept in the memo of the group's root.
         """
-        G = self.group
-
-        def compute():
-            ti = t.inverse()
-            return _class_map(G.class_of(cls.rep.conj(ti)) for cls in G.conjugacy_classes())
-
-        return self._rows(G.memo(("class_conj", G, t), compute), G)
+        return self._rows(_class_conj(self.group, t), self.group)
 
     def is_invariant_under(self, H):
+        """Whether conjugation by each generator of H, which must normalize the group, fixes this function.
+
+        A row of the group's built table reads the table's invariant-row mask.
+        """
+        table = _built_table(self.group)
+        i = None if table is None else table.index(self)
+        if i is not None:
+            return bool(table.invariant_rows(H)[i])
         return all(self.conjugate_by(t) == self for t in H.generators)
 
     def kernel_mask(self):
@@ -366,6 +389,34 @@ def _class_map(indices):
     idx = np.fromiter(indices, dtype=np.intp)
     idx.flags.writeable = False
     return idx
+
+
+def _fusion(G, sub):
+    """The class of G holding each class of the subgroup sub, built once in the memo of sub's root."""
+    return sub.memo(
+        ("fusion", sub, G), lambda: _class_map(G.class_of(c.rep) for c in sub.conjugacy_classes())
+    )
+
+
+def _class_conj(G, t):
+    """The class of t x t^-1 for each class of x, t normalizing G, built once in the memo of G's root."""
+
+    def compute():
+        ti = t.inverse()
+        return _class_map(G.class_of(cls.rep.conj(ti)) for cls in G.conjugacy_classes())
+
+    return G.memo(("class_conj", G, t), compute)
+
+
+def _key(X):
+    """Exact key of an integer matrix among those of its shape: its int64 bytes, or its entries past int64."""
+    X = _narrow(X)
+    return tuple(X.ravel().tolist()) if X.dtype == object else X.tobytes()
+
+
+def _built_table(G):
+    """G's character table if it is already built, else None; never builds one."""
+    return G._memo.get(("chartab", G))
 
 
 def _gram(G, e, A, hA, B, hB, na, nb):
@@ -413,14 +464,108 @@ class CharacterTable:
     Rows are sorted by their values, class by class starting at the identity
     (so by degree first).  A value is ordered by its minimal conductor n, then
     by its coefficients over Q(zeta_n) as (numerator, denominator) pairs.
+
+    The rows are characters (denominator 1) over the conductor e, the lcm of
+    theirs (a Dixon table writes every row over exp(G)).  Questions about the
+    rows are answered on their stack over Q(zeta_m), for a multiple m of e,
+    by the row kernels ``index`` (with ``row_of``), ``extensions``,
+    ``invariant_rows`` and ``twists``.
     """
 
-    __slots__ = ("group", "irr", "prime")
+    __slots__ = ("group", "irr", "prime", "e", "_stacks")
 
     def __init__(self, group, irr, prime):
         self.group = group
         self.irr = tuple(irr)
         self.prime = prime
+        self.e = lcm(*(chi.e for chi in self.irr))
+        self._stacks = {}
+
+    def _over(self, m):
+        """(S, height, lookup) for a multiple m of e, built once per m.
+
+        S is the read-only (n, k, phi(m)) stack of the rows over Q(zeta_m),
+        height its largest absolute entry, and lookup the dict from each row's
+        ``_key`` over m to its index.
+        """
+        got = self._stacks.get(m)
+        if got is None:
+            if m == self.e:
+                S = np.stack([chi._over(m)[0] for chi in self.irr])
+            else:
+                S = self._over(self.e)[0]
+                S = _embed(S.reshape(-1, S.shape[2]), self.e, m).reshape(*S.shape[:2], -1)
+            S.flags.writeable = False
+            got = self._stacks[m] = (S, _height(S), {_key(X): i for i, X in enumerate(S)})
+        return got
+
+    def row_of(self, X, m):
+        """The index of the row whose coefficient matrix over Q(zeta_m) is X, or None; m a multiple of e."""
+        return self._over(m)[2].get(_key(X))
+
+    def index(self, chi):
+        """The index of the row equal to chi, a class function on the table's group, or None.
+
+        One dict lookup of chi's coefficients over m = lcm(e, chi.e); a
+        function with a denominator is never a row.
+        """
+        if chi.group is not self.group or chi.den != 1:
+            return None
+        m = lcm(self.e, chi.e)
+        return self.row_of(chi._over(m)[0], m)
+
+    def twists(self, rows, psi):
+        """(m, P) for a class function psi on the table's group, m = lcm(e, psi.e).
+
+        P[i] holds the coefficients over Q(zeta_m) of irr[rows[i]] * psi
+        times psi.den: one ``_multiply`` of the stacked rows against psi.
+        """
+        m = lcm(self.e, psi.e)
+        S, h, _ = self._over(m)
+        A = S[list(rows)]
+        B, hB = psi._over(m)
+        n, k, f = A.shape
+        return m, _narrow(_multiply(A.reshape(n * k, f), np.tile(B, (n, 1)), m, h * hB)).reshape(n, k, f)
+
+    def extensions(self, chi):
+        """The indices, in row order, of the rows whose restriction to chi's group is chi.
+
+        For each subgroup and conductor m, one gather of the stack over m by
+        the fusion map restricts every row, and the dict from each restricted
+        row's key to the rows giving it is kept in the memo of the table's
+        group; chi is then one lookup.
+        """
+        if chi.den != 1:
+            return ()
+        G, sub, m = self.group, chi.group, lcm(self.e, chi.e)
+
+        def compute():
+            out = {}
+            for i, X in enumerate(self._over(m)[0][:, _fusion(G, sub)]):
+                out.setdefault(_key(X), []).append(i)
+            return {key: tuple(rows) for key, rows in out.items()}
+
+        return G.memo(("restricted_rows", G, sub, m), compute).get(_key(chi._over(m)[0]), ())
+
+    def invariant_rows(self, H):
+        """Read-only bool mask of the rows fixed by conjugation by H, which must normalize the group.
+
+        Conjugation by t permutes the classes (``_class_conj``), so the rows
+        it fixes are those the gather by that permutation leaves unchanged: one
+        compare of the stack per generator of H.  Memoized per H in the memo of
+        the table's group.
+        """
+        G = self.group
+
+        def compute():
+            S = self._over(self.e)[0]
+            mask = np.ones(len(self.irr), dtype=bool)
+            for t in H.generators:
+                mask &= (S[:, _class_conj(G, t)] == S).all(axis=(1, 2))
+            mask.flags.writeable = False
+            return mask
+
+        return G.memo(("invariant_rows", G, H), compute)
 
     def degrees(self):
         return [chi.degree().as_int() for chi in self.irr]
@@ -656,9 +801,9 @@ def linear_characters(G):
 
 
 def extensions_of(chi, big):
-    """Irreducible characters of the overgroup restricting to chi exactly."""
-    return [psi for psi in character_table(big).irr if psi.restrict(chi.group) == chi]
-
+    """Irreducible characters of the overgroup restricting to chi exactly, in row order."""
+    table = character_table(big)
+    return [table.irr[i] for i in table.extensions(chi)]
 
 def inflate(chi, gmap):
     """Pull a character of the quotient back to the source group of gmap."""

@@ -137,8 +137,8 @@ def _series_output(G, F, label, as_json):
 
 def _headchars_output(G, F, label, as_json):
     heads = fprime_ascending(G, F)
-    irr = character_table(G).irr
-    rows = [_row_of(irr, h) for h in heads]
+    table = character_table(G)
+    rows = [_row_of(table, h) for h in heads]
     if as_json:
         return {
             "group": G.to_json(),
@@ -147,7 +147,7 @@ def _headchars_output(G, F, label, as_json):
             "characters": [{"row": i, "degree": h.degree().as_int()} for i, h in zip(rows, heads)],
         }
     return [
-        "head characters of %s for %s: %d of %d irreducibles" % (label, F, len(heads), len(irr)),
+        "head characters of %s for %s: %d of %d irreducibles" % (label, F, len(heads), len(table.irr)),
         *("row %d  degree %d" % (i, h.degree().as_int()) for i, h in zip(rows, heads)),
     ]
 

@@ -315,8 +315,13 @@ class PermGroup:
             "name": getattr(self, "name", None),
             "order": self.order(),
             "degree": self.degree,
-            "generators": [g.cycle_string() for g in self.generators],
+            "generators": self.generator_strings(),
         }
+
+    def generator_strings(self):
+        """The cycle strings of the generators, as a new list; built once in the memo."""
+        gens = self.generators
+        return list(self.memo(("generator_strings", self), lambda: tuple(g.cycle_string() for g in gens)))
 
     def sort_key(self):
         """Fixed total order on subgroups: order first, then element list."""
@@ -377,9 +382,23 @@ class PermGroup:
     # -- derived series and centre, as class masks ----------------------------
 
     def derived_subgroup(self):
-        """G' = [G, G], a closure on G's class support (commutator_mask)."""
-        full = _full_mask(self)
-        return self.memo(("derived", self), lambda: mask_subgroup(self, commutator_mask(self, full, full)))
+        """G' = [G, G], a closure on a class support (commutator_mask); memoized.
+
+        G' is characteristic in G, so when G is normal in its root R it is
+        normal in R too, and the closure runs on R's class masks, with G's mask
+        the normal closure in R of G's generators: G needs no class algebra of
+        its own.
+        """
+
+        def compute():
+            R = self._root
+            if self is not R and is_normal_in(self, R):
+                m = _closure_mask(R, (R.class_of(g) for g in self.generators))
+                return mask_subgroup(R, commutator_mask(R, m, m))
+            full = _full_mask(self)
+            return mask_subgroup(self, commutator_mask(self, full, full))
+
+        return self.memo(("derived", self), compute)
 
     def derived_series(self):
         """G, G', G'', ... down to the first perfect term; memoized.

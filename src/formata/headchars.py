@@ -1,6 +1,6 @@
 """Canonical series, head characters, strong pair series, and theorem reports."""
 
-from .characters import character_table, deflate, extensions_of, inner_products
+from .characters import ClassFunction, _key, character_table, deflate, inner_products
 from .errors import (
     DomainError,
     InternalInconsistencyError,
@@ -24,7 +24,7 @@ from .groups import (
 
 
 def _subgroup_json(U):
-    return [g.cycle_string() for g in U.generators]
+    return U.generator_strings()
 
 
 def _hypothesis(G, F):
@@ -152,15 +152,15 @@ def _ascend(G, F):
     states = []
     for i in range(cs.m - 1, -1, -1):
         K, L = cs.pairs[i]
-        delta = []
+        delta = {}  # over a fixed conductor a class function is its denominator and coefficients
         for chi in current:
             d = chi.restrict(L)
             if not d.is_irreducible():
                 raise InternalInconsistencyError(
                     "reducible restriction in the Delta set at layer %d" % i
                 )
-            if d not in delta:
-                delta.append(d)
+            delta.setdefault((d.e, d.den, _key(d.coeffs)), d)
+        delta = list(delta.values())
         new = []
         for chi in character_table(cs.level(i)).irr:
             rL = chi.restrict(L)
@@ -196,9 +196,13 @@ def _check_triple(chi, G, K, L, H, expect):
         raise DomainError("(G, K, L) fails the Navarro condition for H")
 
 
-def _unique_invariant(irr, H, meets, direction):
-    """The one H-invariant member of irr that meets the given character."""
-    found = [psi for psi in irr if psi.is_invariant_under(H) and meets(psi)]
+def _unique_invariant(table, H, meets, direction):
+    """The one H-invariant row of table that meets the given character.
+
+    meets(rows) marks which of the H-invariant rows meet it, in one product.
+    """
+    rows = [psi for psi, inv in zip(table.irr, table.invariant_rows(H)) if inv]
+    found = [psi for psi, hit in zip(rows, meets(rows)) if hit]
     if len(found) != 1:
         raise InternalInconsistencyError(
             "expected one H-invariant constituent %s, found %d" % (direction, len(found))
@@ -210,30 +214,34 @@ def unique_invariant_below(theta, G, K, L, H):
     """The unique H-invariant irreducible constituent of theta restricted to L."""
     _check_triple(theta, G, K, L, H, expect=K)
     rest = theta.restrict(L)
-    irr = character_table(L).irr
-    return _unique_invariant(irr, H, lambda phi: not rest.inner(phi).is_zero(), "below")
+    return _unique_invariant(
+        character_table(L), H, lambda rows: inner_products([rest], rows)[1].any(axis=2)[0], "below"
+    )
 
 
 def unique_invariant_above(phi, G, K, L, H):
     """The unique H-invariant member of Irr(K) lying over phi."""
     _check_triple(phi, G, K, L, H, expect=L)
-    irr = character_table(K).irr
     return _unique_invariant(
-        irr, H, lambda theta: not theta.restrict(L).inner(phi).is_zero(), "above"
+        character_table(K), H,
+        lambda rows: inner_products([theta.restrict(L) for theta in rows], [phi])[1].any(axis=2)[:, 0],
+        "above",
     )
 
 
-def _row_of(irr, chi):
-    """The index of chi among the rows irr of a table, by identity; chi must be one of them."""
-    for i, row in enumerate(irr):
-        if row is chi:
-            return i
-    raise InternalInconsistencyError("character is not a row of its table")
+def _row_of(table, chi):
+    """The index of chi among the rows of table, by lookup; chi must be one of them."""
+    i = table.index(chi)
+    if i is None:
+        raise InternalInconsistencyError("character is not a row of its table")
+    return i
 
 
 def _first_extension(chi, big):
     """The first row of big's table that restricts to chi, or None: the witness extensions_of lists first."""
-    return next((psi for psi in character_table(big).irr if psi.restrict(chi.group) == chi), None)
+    table = character_table(big)
+    rows = table.extensions(chi)
+    return table.irr[rows[0]] if rows else None
 
 
 def extension_transfer_check(G, K, L, F, theta, phi):
@@ -244,22 +252,22 @@ def extension_transfer_check(G, K, L, F, theta, phi):
         raise DomainError("phi is not the invariant constituent below theta")
     hyp = _hypothesis(G, F)
     LH = subgroup_product(L, H)
-    etas = extensions_of(phi, LH)
-    chis = extensions_of(theta, G)
-    irr_g = character_table(G).irr
-    irr_lh = character_table(LH).irr
+    table_g, table_lh = character_table(G), character_table(LH)
+    eta_rows, chi_rows = table_lh.extensions(phi), table_g.extensions(theta)
+    etas = [table_lh.irr[b] for b in eta_rows]
+    chis = [table_g.irr[a] for a in chi_rows]
     # over[a][b]: chis[a] lies over etas[b]; each list reads its first witness from it
     over = inner_products([chi.restrict(LH) for chi in chis], etas)[1].any(axis=2)
     upward = []
-    for b, eta in enumerate(etas):
+    for b, row in enumerate(eta_rows):
         a = next((a for a in range(len(chis)) if over[a][b]), None)
-        witness = None if a is None else _row_of(irr_g, chis[a])
-        upward.append({"eta": _row_of(irr_lh, eta), "pass": a is not None, "chi": witness})
+        witness = None if a is None else chi_rows[a]
+        upward.append({"eta": row, "pass": a is not None, "chi": witness})
     downward = []
-    for a, chi in enumerate(chis):
+    for a, row in enumerate(chi_rows):
         b = next((b for b in range(len(etas)) if over[a][b]), None)
-        witness = None if b is None else _row_of(irr_lh, etas[b])
-        downward.append({"chi": _row_of(irr_g, chi), "pass": b is not None, "eta": witness})
+        witness = None if b is None else eta_rows[b]
+        downward.append({"chi": row, "pass": b is not None, "eta": witness})
     ok = all(entry["pass"] for entry in upward + downward)
     if hyp["met"] and not ok:
         raise InternalInconsistencyError("extension transfer failed under the hypothesis")
@@ -404,26 +412,32 @@ def fprime_descending_test(chi, G, F):
 def gallagher_family(gamma, N):
     """Twists of gamma by the linear characters trivial on N, in first-seen order.
 
-    Every twist lives on gamma's group over one conductor, where a class
-    function is its denominator and coefficient matrix, so that is the exact
-    key for dropping repeats.
+    The twists are one product of the table's stacked linear rows against
+    gamma (``CharacterTable.twists``).  Every twist lives on gamma's group over
+    one conductor with gamma's denominator, where a class function is its
+    coefficient matrix, so that is the exact key for dropping repeats.
     """
+    U = gamma.group
+    m, twists = character_table(U).twists(_linear_over(U, N), gamma)
     out = {}
-    for lam in _linear_over(gamma.group, N):
-        prod = lam * gamma
-        out.setdefault((prod.e, prod.den, tuple(prod.coeffs.ravel().tolist())), prod)
-    return list(out.values())
+    for X in twists:
+        out.setdefault(_key(X), X)
+    return [ClassFunction._from_coeffs(U, m, X, gamma.den) for X in out.values()]
 
 
 def _linear_over(U, N):
-    """The linear characters of U whose kernel mask holds the classes of N's generators, memoized on U."""
+    """The rows of U's table that are linear characters trivial on N, memoized on U.
+
+    A linear character is trivial on N when its kernel mask holds the classes
+    of N's generators.
+    """
 
     def compute():
         classes = [U.class_of(g) for g in N.generators]
         return tuple(
-            lam
-            for lam in character_table(U).linear_characters()
-            if all(lam.kernel_mask() >> j & 1 for j in classes)
+            i
+            for i, lam in enumerate(character_table(U).irr)
+            if lam.degree() == 1 and all(lam.kernel_mask() >> j & 1 for j in classes)
         )
 
     return U.memo(("gallagher", U, N), compute)
@@ -460,18 +474,20 @@ def theorem_a_report(G, F, N):
     heads = fprime_ascending(G, F)
     hyp = _hypothesis(G, F)
     index = G.order() // NH.order()
-    irr_g = character_table(G).irr
-    irr_n = character_table(N).irr
-    h_invariant = [th for th in irr_n if th.is_invariant_under(H)]
-    # meets[a, b]: the restriction of heads[a] to N has h_invariant[b] as a constituent
+    table_g, table_n = character_table(G), character_table(N)
+    inv_rows = [i for i, inv in enumerate(table_n.invariant_rows(H)) if inv]
+    # meets[a, b]: the restriction of heads[a] to N has row inv_rows[b] of Irr(N) as a constituent
+    h_invariant = [table_n.irr[i] for i in inv_rows]
     meets = inner_products([chi.restrict(N) for chi in heads], h_invariant)[1].any(axis=2)
-    invs = [[th for th, m in zip(h_invariant, row) if m] for row in meets]
-    # under[a]: the heads of NH that heads[a] restricted to NH lies over, where part (c) is checked
+    invs = [[i for i, m in zip(inv_rows, row) if m] for row in meets]
+    # under[a]: the rows of the heads of NH that heads[a] restricted to NH lies over (part (c))
     checked = [a for a, inv in enumerate(invs) if len(inv) == 1] if hyp["met"] else []
     if checked:
+        table_nh = character_table(NH)
         heads_nh = fprime_ascending(NH, F)
+        nh_rows = [_row_of(table_nh, g) for g in heads_nh]
         over = inner_products([heads[a].restrict(NH) for a in checked], heads_nh)[1].any(axis=2)
-        under = {a: [g for g, m in zip(heads_nh, row) if m] for a, row in zip(checked, over)}
+        under = {a: [r for r, m in zip(nh_rows, row) if m] for a, row in zip(checked, over)}
     normal = _subgroup_json(N)
     instances = []
     for a, (chi, inv) in enumerate(zip(heads, invs)):
@@ -480,27 +496,28 @@ def theorem_a_report(G, F, N):
         part_b = False
         part_c = {"checked": False, "reason": hyp["reason"]}
         if part_a:
-            theta = inv[0]
+            theta = table_n.irr[inv[0]]
             d_chi = chi.degree().as_int()
             d_theta = theta.degree().as_int()
             part_b = d_chi % d_theta == 0 and index % (d_chi // d_theta) == 0
-            witnesses["theta"] = _row_of(irr_n, theta)
+            witnesses["theta"] = inv[0]
             witnesses["ratio"] = d_chi // d_theta if d_chi % d_theta == 0 else None
             witnesses["index_of_NH"] = index
             if hyp["met"]:
-                gammas = [g for g in under[a] if g.restrict(N) == theta]
+                over_theta = table_nh.extensions(theta)
+                gammas = [r for r in under[a] if r in over_theta]
                 ok = bool(gammas)
                 gamma_row = None
                 if ok:
-                    gamma = gammas[0]
-                    gamma_row = _row_of(character_table(NH).irr, gamma)
-                    family = gallagher_family(gamma, N)
-                    ok = all(d in family for d in under[a])
+                    gamma_row = gammas[0]
+                    m, twists = table_nh.twists(_linear_over(NH, N), table_nh.irr[gamma_row])
+                    family = {table_nh.row_of(X, m) for X in twists}  # Gallagher's family of gamma
+                    ok = all(r in family for r in under[a])
                 part_c = {"checked": True, "pass": ok, "gamma": gamma_row}
         witnesses["part_b"] = part_b
         witnesses["part_c"] = part_c
         ok_all = part_a and part_b and (not part_c["checked"] or part_c["pass"])
-        inputs = {"character": _row_of(irr_g, chi), "normal": normal}
+        inputs = {"character": _row_of(table_g, chi), "normal": normal}
         instances.append(instance(inputs, ok_all, witnesses))
     return report(
         "A", G, F, instances,
@@ -543,9 +560,11 @@ def theorem_b_report(G, F):
     witnesses["kernel_lemma"] = lemma
     Q, gmap = quotient(G, meet)
     heads_q = fprime_ascending(Q, F)
+    table_q = character_table(Q)
+    rows_q = {_row_of(table_q, chi) for chi in heads_q}
     deflated = [deflate(chi, gmap) for chi in heads]
     witnesses["inflation_bijection"] = len(deflated) == len(heads_q) and all(
-        d in heads_q for d in deflated
+        table_q.index(d) in rows_q for d in deflated
     )
     checks = ("equal", "qualifying_closed_under_join", "kernel_lemma", "inflation_bijection")
     ok = all(witnesses[key] for key in checks)
@@ -573,10 +592,12 @@ def theorem_c_report(G, p):
 
 def theorem_54_report(G, F):
     """Ascending set, strong-series membership, and descending test must agree."""
-    heads = set(fprime_ascending(G, F))
+    heads = fprime_ascending(G, F)
+    table = character_table(G)
+    head_rows = {_row_of(table, chi) for chi in heads}
     instances = []
-    for i, chi in enumerate(character_table(G).irr):
-        asc = chi in heads
+    for i, chi in enumerate(table.irr):
+        asc = i in head_rows
         strong = is_head_character(chi, G, F)
         desc = fprime_descending_test(chi, G, F)["member"]
         witnesses = {"ascending": asc, "strong_series": strong, "descending": desc}

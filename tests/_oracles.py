@@ -495,6 +495,27 @@ def oracle_conjugate_by(chi, t):
     return ClassFunction._from_coeffs(G, chi.e, chi.coeffs[idx], chi.den)
 
 
+def oracle_is_irreducible(chi):
+    """<chi, chi> = 1, by one inner product."""
+    v = chi.inner(chi)
+    return v.is_rational() and v.as_fraction() == 1
+
+
+def oracle_is_invariant_under(chi, H):
+    """Each generator of H fixes chi: one conjugate_by and one == per generator."""
+    return all(chi.conjugate_by(t) == chi for t in H.generators)
+
+
+def oracle_extensions_of(chi, big):
+    """The rows of big's table whose restriction to chi's group equals chi, one restrict and one == per row."""
+    return [psi for psi in character_table(big).irr if psi.restrict(chi.group) == chi]
+
+
+def oracle_first_extension(chi, big):
+    """The first row of big's table that restricts to chi, or None, stopping at the first."""
+    return next((psi for psi in character_table(big).irr if psi.restrict(chi.group) == chi), None)
+
+
 def oracle_charpoly(A, q):
     """Characteristic polynomial mod q through the Hessenberg form, one minor's term at a time."""
     A = np.array(A, dtype=np.int64) % q

@@ -3,8 +3,9 @@
 The derived subgroup was the normal closure of the generators' commutators,
 computed by Perm conjugation (``oracle_normal_closure``); it is now a closure
 on the group's class support, and the centre is the union of its classes of
-size one.  Subgroups that are not normal in their root (a projector and a
-Sylow subgroup of S4 wr C2) answer in their own class algebra.
+size one.  A subgroup normal in its root takes its derived subgroup on the
+root's class masks; subgroups that are not (a projector and a Sylow subgroup
+of S4 wr C2) answer in their own class algebra.
 """
 
 import pytest
@@ -14,7 +15,7 @@ from _oracles import brute_center, brute_derived, oracle_derived_series, oracle_
 from _products import PAIRS, direct_product
 from formata.catalog import catalog_group, load_catalog
 from formata.formations import Formation, projector
-from formata.groups import PermGroup, generate, is_normal_in, sylow
+from formata.groups import PermGroup, generate, is_normal_in, normal_subgroups, sylow
 from test_subgroup_memo import s4_wreath_c2
 
 
@@ -64,6 +65,20 @@ def test_masks_match_oracle_on_subgroups_of_s4_wreath_c2(build):
     assert H is not G and not is_normal_in(H, G)
     assert_masks_match_oracle(H)
     assert H.derived_subgroup()._root is G  # interned under the root, built in H's own class algebra
+
+
+@pytest.mark.parametrize("entry", load_catalog(), ids=lambda entry: entry.name)
+def test_derived_subgroup_of_a_normal_subgroup_reads_the_roots_masks(entry):
+    # N' is characteristic in N, so for N normal in the root G it is a closure
+    # on G's class masks, and N builds no classes or class support of its own
+    G = generate(entry.degree, entry.words)
+    for N in normal_subgroups(G):
+        assert N._classes is None or N is G
+        gens = N.generators
+        assert N.derived_subgroup() is oracle_normal_closure(N, [a.commutator(b) for a in gens for b in gens])
+        assert N.derived_subgroup().element_set() == brute_derived(N)
+        if N is not G:
+            assert N._classes is None and N._class_support is None
 
 
 def test_derived_series_is_memoized():

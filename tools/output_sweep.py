@@ -30,7 +30,12 @@ its canonical series and ``verify thm-b`` (text and JSON) for each
 formation: under two of them Theorem B's M is trivial, so the heads of G are
 checked against those of G/1, which is G itself.  It also prints ``verify
 thm-c`` (text and JSON) on S4 wr C2 for p = 2, which takes the derived
-subgroup of a Sylow 2-subgroup of order 128, and for p = 3.  The sweep prints the
+subgroup of a Sylow 2-subgroup of order 128, and for p = 3.  ``verify thm54``
+(text and JSON) runs for each formation on the two ``ladder`` products and on
+S4 wr C2, so the strong series and the descending test look up extensions in
+tables past the catalog, and ``verify thm-a`` (text and JSON) runs on S4 wr C2
+under the nilpotent formation, whose Gallagher test (part (c)) reads a 20-row
+table.  The sweep prints the
 character table (text and JSON) of S4 wr C2 and of C6 x C6, whose 36 classes
 outnumber the 13 elements of the field Dixon's method works in, so the split
 of the class algebra goes past its generic rounds to single class matrices.  The residual and the
@@ -158,6 +163,13 @@ def commands(products, ladder):
         for formation in FORMATIONS:
             for form in ([], ["--json"]):
                 out.append(["verify", "thm-a", name, "--formation", formation, *form])
+    for name in (*ladder, S4_WR_C2[0]):
+        for formation in FORMATIONS:
+            for form in ([], ["--json"]):
+                out.append(["verify", "thm54", name, "--formation", formation, *form])
+    # a 20-row table: Theorem A part (c), the Gallagher test, past the catalog
+    for form in ([], ["--json"]):
+        out.append(["verify", "thm-a", S4_WR_C2[0], "--formation", "nilpotent", *form])
     for name in (S4_WR_C2[0], C6_C6[0]):
         out.append(["table", name])
         out.append(["table", name, "--json"])
