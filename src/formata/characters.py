@@ -27,8 +27,13 @@ the subgroup's root, the class permutation of a conjugating element under the
 group's.  A class function keeps its embedding into each larger conductor.
 ``inner_products`` computes all inner products of two lists of class
 functions on one group with one matrix product, of which
-``ClassFunction.inner`` is the 1 x 1 case; Theorem A's constituent sweeps
-are one such product per report.
+``ClassFunction.inner`` is the 1 x 1 case.  The decomposition matrix of a
+pair (G, S), the multiplicity of each row of Irr(S) in each row of Irr(G)
+restricted to S, is one gather of G's stacked rows by the fusion map and one
+such product against S's rows (``_decomposition``); it is certified by
+Frobenius reciprocity at the identity and kept in the memo of G's root, and
+the head-character code reads Theorem A's constituents and the invariant
+constituents of a Navarro triple from it.
 
 A ``CharacterTable`` answers questions about its rows with one array
 operation on their (n, k, phi(m)) stack over a multiple m of the rows'
@@ -458,6 +463,52 @@ def inner_products(rows, cols):
     )
 
 
+def _side_by_side(S):
+    """The (k, n * phi) matrix of an (n, k, phi) stack's rows side by side, as ``_gram`` takes them."""
+    n, k, f = S.shape
+    return S.transpose(1, 0, 2).reshape(k, n * f)
+
+
+def _decomposition(G, S):
+    """D[i, j] = <irr_G[i] restricted to S, irr_S[j]>, for a subgroup S of G; memoized per (G, S).
+
+    One gather of G's table stack by the fusion map restricts every row, and
+    one ``_gram`` against S's stack over the lcm m of the two conductors
+    gives every inner product.  Each is a rational integer, so only the
+    constant coefficient may be nonzero and it is a multiple of |S|; then
+    ``_check_decomposition`` certifies the matrix.  A read-only int64 array,
+    kept in the memo of G's root; both tables must be built or are built here.
+    """
+
+    def compute():
+        big, sub = character_table(G), character_table(S)
+        m = lcm(big.e, sub.e)
+        A, hA, _ = big._over(m)
+        B, hB, _ = sub._over(m)
+        P = _gram(S, m, _side_by_side(A[:, _fusion(G, S)]), hA, _side_by_side(B), hB, len(A), len(B))
+        if P[:, :, 1:].any() or (P[:, :, 0] % S.order()).any():
+            raise InternalInconsistencyError("a restricted multiplicity is not an integer")
+        D = np.asarray(P[:, :, 0] // S.order(), dtype=np.int64)
+        _check_decomposition(D, A[:, 0, 0], B[:, 0, 0])  # class 0 is the identity: the degrees
+        D.flags.writeable = False
+        return D
+
+    return G.memo(("decomposition", G, S), compute)
+
+
+def _check_decomposition(D, degrees, sub_degrees):
+    """Raise unless every entry of D is non-negative and sum_j D[i, j] psi_j(1) = chi_i(1) for every row i.
+
+    That is Frobenius reciprocity at the identity: the restriction of chi_i
+    to the subgroup has the degree of chi_i.  degrees holds the chi_i(1) and
+    sub_degrees the psi_j(1).
+    """
+    if (D < 0).any():
+        raise InternalInconsistencyError("a restricted multiplicity is negative")
+    if not np.array_equal(D @ sub_degrees, degrees):
+        raise InternalInconsistencyError("restricted multiplicities do not add up to the degrees")
+
+
 class CharacterTable:
     """Irreducible characters of a group, rows in canonical sorted order.
 
@@ -577,11 +628,17 @@ class CharacterTable:
         return self.irr[0]
 
     def verify(self):
-        """Row orthogonality of every pair of rows plus the degree sum; raises on failure."""
+        """Rows are characters of positive integer degree, orthogonal in pairs, with the degree sum; raises on failure.
+
+        The degree check rejects a table with a row negated, which passes
+        orthogonality and the degree sum.
+        """
         G = self.group
         k = len(G.conjugacy_classes())
         if len(self.irr) != k:
             raise InternalInconsistencyError("character count != class count")
+        if any(chi.den != 1 or chi.coeffs[0, 1:].any() or chi.coeffs[0, 0] <= 0 for chi in self.irr):
+            raise InternalInconsistencyError("a row's degree is not a positive integer")
         if sum(d * d for d in self.degrees()) != G.order():
             raise InternalInconsistencyError("degree squares do not sum to |G|")
         for i, chi in enumerate(self.irr):

@@ -20,7 +20,7 @@ from .catalog import catalog_group, catalog_names, load_catalog
 from .characters import character_table
 from .errors import CapacityError, CatalogIntegrityError, FormataError, InternalInconsistencyError
 from .formations import Formation, projector, require_solvable, residual
-from .groups import PermGroup, normal_subgroups, order_cap, prime_divisors
+from .groups import PermGroup, closure_elements, normal_subgroups, order_cap, prime_divisors
 from .headchars import (
     _row_of,
     canonical_series,
@@ -44,14 +44,20 @@ VERIFY_FORMATIONS = ("nilpotent", "supersolvable", "metanilpotent", "nilpotent-l
 def resolve_group(token):
     """A catalog name (case-insensitive) or a path to a group file.
 
-    A group over the order cap is refused here, by its chain order, before
-    any command enumerates it.
+    A group over the order cap is refused here, before any command
+    enumerates it: a catalog group by its order, a group file by a closure
+    of its generators that stops past the cap, before any stabilizer chain
+    is built (the order of a group that large is never computed).
     """
     lowered = token.lower()
     if lowered in {n.lower() for n in catalog_names()}:
         G = catalog_group(token)
     elif os.path.isfile(token):
         degree, gens = read_group_file(token)
+        try:
+            closure_elements(degree, gens, cap=order_cap())
+        except CapacityError:
+            raise CapacityError(f"group order exceeds cap {order_cap()}") from None
         G = PermGroup(degree, gens)
     else:
         raise CatalogIntegrityError("unknown group %r: not a catalog name and not a file" % token)

@@ -644,12 +644,20 @@ def class_products(G):
     with inverse[y] = i and js[t, y] = j.  (y * z)(b) = z(y(b)), so the base
     images of all the products are one gather of the representatives' images
     at the base images of G's elements; _element_rows turns them into rows,
-    and rows into classes.  Not cached: the class support and Dixon's split
-    each read it once.
+    and rows into classes.  Both are read-only int32 arrays (a class index is
+    below k <= |G|), memoized on G: the class support and Dixon's split both
+    read them.
     """
-    _, base_images, row_class, reps = _element_keys(G)
-    inverse = np.array([G.class_of(c.rep.inverse()) for c in G.conjugacy_classes()], dtype=np.int64)
-    return row_class[_element_rows(G, reps[:, base_images])], inverse[row_class]
+
+    def compute():
+        _, base_images, row_class, reps = _element_keys(G)
+        inverse = np.array([G.class_of(c.rep.inverse()) for c in G.conjugacy_classes()], dtype=np.int32)
+        out = row_class[_element_rows(G, reps[:, base_images])], inverse[row_class]
+        for a in out:
+            a.flags.writeable = False
+        return out
+
+    return G.memo(("class_products", G), compute)
 
 
 def class_support(G):
@@ -665,7 +673,8 @@ def class_support(G):
         js, inverse = class_products(G)
         k = len(js)
         support = [[0] * k for _ in range(k)]
-        for key in np.unique((inverse * k + js) * k + np.arange(k)[:, None]).tolist():
+        # keys below k^3, so int64 (the products are int32)
+        for key in np.unique((inverse.astype(np.int64) * k + js) * k + np.arange(k)[:, None]).tolist():
             pair, t = divmod(key, k)
             support[pair // k][pair % k] |= 1 << t
         G._class_support = support

@@ -1,6 +1,28 @@
-"""Canonical series, head characters, strong pair series, and theorem reports."""
+"""Canonical series, head characters, strong pair series, and theorem reports.
 
-from .characters import ClassFunction, _key, character_table, deflate, inner_products
+How a character of a group restricts to a subgroup S is read off one
+decomposition matrix per pair (G, S), ``characters._decomposition``: the
+multiplicities of Irr(S) in the restrictions of Irr(G), one gather and one
+inner-product product, certified by Frobenius reciprocity at the identity and
+kept in the memo of G's root.  Theorem A reads which H-invariant rows of N a
+head meets, and which heads of NH it lies over, as blocks of D(G, N) and
+D(G, NH), shared by every formation checked on one group; the invariant
+constituent above or below a character of a Navarro triple (K, L) is a row or
+column of D(K, L) masked by the H-invariant rows.  A character that is no row
+of its group's built table takes one inner-product product instead.
+"""
+
+import numpy as np
+
+from .characters import (
+    ClassFunction,
+    _built_table,
+    _decomposition,
+    _key,
+    character_table,
+    deflate,
+    inner_products,
+)
 from .errors import (
     DomainError,
     InternalInconsistencyError,
@@ -196,37 +218,46 @@ def _check_triple(chi, G, K, L, H, expect):
         raise DomainError("(G, K, L) fails the Navarro condition for H")
 
 
-def _unique_invariant(table, H, meets, direction):
-    """The one H-invariant row of table that meets the given character.
-
-    meets(rows) marks which of the H-invariant rows meet it, in one product.
-    """
-    rows = [psi for psi, inv in zip(table.irr, table.invariant_rows(H)) if inv]
-    found = [psi for psi, hit in zip(rows, meets(rows)) if hit]
+def _unique_invariant(table, H, hits, direction):
+    """The one H-invariant row of table among the rows that hits marks, a bool array over the rows."""
+    found = np.flatnonzero(table.invariant_rows(H) & hits)
     if len(found) != 1:
         raise InternalInconsistencyError(
             "expected one H-invariant constituent %s, found %d" % (direction, len(found))
         )
-    return found[0]
+    return table.irr[found[0]]
 
 
 def unique_invariant_below(theta, G, K, L, H):
-    """The unique H-invariant irreducible constituent of theta restricted to L."""
+    """The unique H-invariant irreducible constituent of theta restricted to L.
+
+    A row of K's built table reads its row of D(K, L); any other theta takes
+    one inner product per row of L's table.
+    """
     _check_triple(theta, G, K, L, H, expect=K)
-    rest = theta.restrict(L)
-    return _unique_invariant(
-        character_table(L), H, lambda rows: inner_products([rest], rows)[1].any(axis=2)[0], "below"
-    )
+    table, sub = _built_table(K), character_table(L)
+    i = None if table is None else table.index(theta)
+    if i is not None:
+        hits = _decomposition(K, L)[i] > 0
+    else:
+        hits = inner_products([theta.restrict(L)], sub.irr)[1].any(axis=2)[0]
+    return _unique_invariant(sub, H, hits, "below")
 
 
 def unique_invariant_above(phi, G, K, L, H):
-    """The unique H-invariant member of Irr(K) lying over phi."""
+    """The unique H-invariant member of Irr(K) lying over phi.
+
+    A row of L's built table reads its column of D(K, L); any other phi takes
+    one inner product per row of K's table.
+    """
     _check_triple(phi, G, K, L, H, expect=L)
-    return _unique_invariant(
-        character_table(K), H,
-        lambda rows: inner_products([theta.restrict(L) for theta in rows], [phi])[1].any(axis=2)[:, 0],
-        "above",
-    )
+    table, sub = character_table(K), _built_table(L)
+    j = None if sub is None else sub.index(phi)
+    if j is not None:
+        hits = _decomposition(K, L)[:, j] > 0
+    else:
+        hits = inner_products([theta.restrict(L) for theta in table.irr], [phi])[1].any(axis=2)[:, 0]
+    return _unique_invariant(table, H, hits, "above")
 
 
 def _row_of(table, chi):
@@ -254,18 +285,16 @@ def extension_transfer_check(G, K, L, F, theta, phi):
     LH = subgroup_product(L, H)
     table_g, table_lh = character_table(G), character_table(LH)
     eta_rows, chi_rows = table_lh.extensions(phi), table_g.extensions(theta)
-    etas = [table_lh.irr[b] for b in eta_rows]
-    chis = [table_g.irr[a] for a in chi_rows]
-    # over[a][b]: chis[a] lies over etas[b]; each list reads its first witness from it
-    over = inner_products([chi.restrict(LH) for chi in chis], etas)[1].any(axis=2)
+    # over[a][b]: row chi_rows[a] of G lies over row eta_rows[b] of LH; each list reads its first witness from it
+    over = _decomposition(G, LH)[np.ix_(chi_rows, eta_rows)] > 0
     upward = []
     for b, row in enumerate(eta_rows):
-        a = next((a for a in range(len(chis)) if over[a][b]), None)
+        a = next((a for a in range(len(chi_rows)) if over[a][b]), None)
         witness = None if a is None else chi_rows[a]
         upward.append({"eta": row, "pass": a is not None, "chi": witness})
     downward = []
     for a, row in enumerate(chi_rows):
-        b = next((b for b in range(len(etas)) if over[a][b]), None)
+        b = next((b for b in range(len(eta_rows)) if over[a][b]), None)
         witness = None if b is None else eta_rows[b]
         downward.append({"chi": row, "pass": b is not None, "eta": witness})
     ok = all(entry["pass"] for entry in upward + downward)
@@ -276,8 +305,8 @@ def extension_transfer_check(G, K, L, F, theta, phi):
         "group": G.to_json(),
         "formation": str(F),
         "hypothesis": hyp,
-        "theta_extensions": len(chis),
-        "phi_extensions": len(etas),
+        "theta_extensions": len(chi_rows),
+        "phi_extensions": len(eta_rows),
         "upward": upward,
         "downward": downward,
         "all_transfers_hold": ok,
@@ -443,6 +472,21 @@ def _linear_over(U, N):
     return U.memo(("gallagher", U, N), compute)
 
 
+def _gallagher_rows(U, N, row):
+    """The rows of U's table in Gallagher's family of its row ``row`` over N, memoized per (U, N, row).
+
+    The family is the twists of the row by the linear characters of U trivial
+    on N: one ``twists`` product, each twist looked up among the rows.
+    """
+
+    def compute():
+        table = character_table(U)
+        m, twists = table.twists(_linear_over(U, N), table.irr[row])
+        return frozenset(table.row_of(X, m) for X in twists)
+
+    return U.memo(("gallagher_rows", U, N, row), compute)
+
+
 def report(theorem, G, F, instances, **summary):
     """The JSON report of a theorem verifier; F is None for a check without a formation."""
     return {
@@ -475,19 +519,18 @@ def theorem_a_report(G, F, N):
     hyp = _hypothesis(G, F)
     index = G.order() // NH.order()
     table_g, table_n = character_table(G), character_table(N)
-    inv_rows = [i for i, inv in enumerate(table_n.invariant_rows(H)) if inv]
+    head_rows = [_row_of(table_g, chi) for chi in heads]
+    inv_rows = np.flatnonzero(table_n.invariant_rows(H))
     # meets[a, b]: the restriction of heads[a] to N has row inv_rows[b] of Irr(N) as a constituent
-    h_invariant = [table_n.irr[i] for i in inv_rows]
-    meets = inner_products([chi.restrict(N) for chi in heads], h_invariant)[1].any(axis=2)
-    invs = [[i for i, m in zip(inv_rows, row) if m] for row in meets]
+    meets = _decomposition(G, N)[np.ix_(head_rows, inv_rows)] > 0
+    invs = [inv_rows[row].tolist() for row in meets]
     # under[a]: the rows of the heads of NH that heads[a] restricted to NH lies over (part (c))
     checked = [a for a, inv in enumerate(invs) if len(inv) == 1] if hyp["met"] else []
     if checked:
         table_nh = character_table(NH)
-        heads_nh = fprime_ascending(NH, F)
-        nh_rows = [_row_of(table_nh, g) for g in heads_nh]
-        over = inner_products([heads[a].restrict(NH) for a in checked], heads_nh)[1].any(axis=2)
-        under = {a: [r for r, m in zip(nh_rows, row) if m] for a, row in zip(checked, over)}
+        nh_rows = np.array([_row_of(table_nh, g) for g in fprime_ascending(NH, F)])
+        over = _decomposition(G, NH)[np.ix_([head_rows[a] for a in checked], nh_rows)] > 0
+        under = {a: nh_rows[row].tolist() for a, row in zip(checked, over)}
     normal = _subgroup_json(N)
     instances = []
     for a, (chi, inv) in enumerate(zip(heads, invs)):
@@ -510,14 +553,13 @@ def theorem_a_report(G, F, N):
                 gamma_row = None
                 if ok:
                     gamma_row = gammas[0]
-                    m, twists = table_nh.twists(_linear_over(NH, N), table_nh.irr[gamma_row])
-                    family = {table_nh.row_of(X, m) for X in twists}  # Gallagher's family of gamma
+                    family = _gallagher_rows(NH, N, gamma_row)
                     ok = all(r in family for r in under[a])
                 part_c = {"checked": True, "pass": ok, "gamma": gamma_row}
         witnesses["part_b"] = part_b
         witnesses["part_c"] = part_c
         ok_all = part_a and part_b and (not part_c["checked"] or part_c["pass"])
-        inputs = {"character": _row_of(table_g, chi), "normal": normal}
+        inputs = {"character": head_rows[a], "normal": normal}
         instances.append(instance(inputs, ok_all, witnesses))
     return report(
         "A", G, F, instances,

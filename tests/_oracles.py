@@ -11,7 +11,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from formata.characters import ClassFunction, character_table
+from formata.characters import ClassFunction, character_table, inner_products
 from formata.cyclotomic import Cyclotomic, cyclotomic_poly, phi
 from formata.perms import Perm
 from formata.errors import DomainError, InternalInconsistencyError
@@ -26,8 +26,10 @@ from formata.groups import (
     normal_subgroups,
     prime_divisors,
     quotient,
+    subgroup_product,
 )
-from formata.headchars import _subgroup_json
+from formata.formations import projector
+from formata.headchars import _subgroup_json, fprime_ascending
 
 
 def brute_elements(degree, gens):
@@ -811,6 +813,55 @@ def oracle_gallagher_family(gamma, N):
         if prod not in out:
             out.append(prod)
     return out
+
+
+def oracle_decomposition(G, S):
+    """<chi restricted to S, psi> for chi in Irr(G) and psi in Irr(S), one restrict and one inner per pair."""
+    rows = character_table(S).irr
+    return [[chi.restrict(S).inner(psi).as_fraction() for psi in rows] for chi in character_table(G).irr]
+
+
+def _oracle_one_invariant(rows, hits, direction):
+    found = [psi for psi, hit in zip(rows, hits) if hit]
+    if len(found) != 1:
+        raise InternalInconsistencyError(
+            "expected one H-invariant constituent %s, found %d" % (direction, len(found))
+        )
+    return found[0]
+
+
+def oracle_unique_invariant_below(theta, L, H):
+    """The H-invariant constituent of theta restricted to L: one inner_products against the invariant rows of L."""
+    rows = [psi for psi in character_table(L).irr if oracle_is_invariant_under(psi, H)]
+    return _oracle_one_invariant(rows, inner_products([theta.restrict(L)], rows)[1].any(axis=2)[0], "below")
+
+
+def oracle_unique_invariant_above(phi, K, H):
+    """The H-invariant row of K's table over phi: one inner_products of the invariant rows restricted to phi's group."""
+    rows = [theta for theta in character_table(K).irr if oracle_is_invariant_under(theta, H)]
+    hits = inner_products([theta.restrict(phi.group) for theta in rows], [phi])[1].any(axis=2)[:, 0]
+    return _oracle_one_invariant(rows, hits, "above")
+
+
+def oracle_theorem_a_sweeps(G, F, N):
+    """The constituent sweeps of Theorem A, one inner_products each per call.
+
+    For each head character of G, in ascent order: the rows of the
+    H-invariant members of Irr(N) under it, and the rows of the heads of NH
+    it lies over, H the projector.
+    """
+    H = projector(G, F)
+    NH = subgroup_product(N, H)
+    heads = fprime_ascending(G, F)
+    table_n = character_table(N)
+    inv_rows = [i for i, psi in enumerate(table_n.irr) if oracle_is_invariant_under(psi, H)]
+    meets = inner_products([chi.restrict(N) for chi in heads], [table_n.irr[i] for i in inv_rows])[1]
+    heads_nh = fprime_ascending(NH, F)
+    nh_rows = [character_table(NH).irr.index(gamma) for gamma in heads_nh]
+    over = inner_products([chi.restrict(NH) for chi in heads], heads_nh)[1]
+    invs = [[i for i, m in zip(inv_rows, row) if m] for row in meets.any(axis=2)]
+    under = [[r for r, m in zip(nh_rows, row) if m] for row in over.any(axis=2)]
+    return invs, under
 
 
 def oracle_kernel_bound(G, chars, X, Y):

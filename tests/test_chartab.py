@@ -351,6 +351,27 @@ def test_verify_rejects_a_corrupted_value():
         CharacterTable(G, rows, tab.prime).verify()
 
 
+def test_verify_rejects_a_negated_row():
+    # -sign is orthogonal to every other row and has norm 1, and its degree squares to 1
+    G = catalog_group("S4")
+    tab = character_table(G)
+    sign = next(i for i, chi in enumerate(tab.irr) if i and chi.degree() == 1)
+    rows = list(tab.irr)
+    rows[sign] = rows[sign] * -1
+    with pytest.raises(InternalInconsistencyError, match="positive integer"):
+        CharacterTable(G, rows, tab.prime).verify()
+
+
+def test_verify_rejects_a_sign_flip_in_permuted_rows():
+    G = catalog_group("S4")
+    tab = character_table(G)
+    rows = list(reversed(tab.irr))
+    rows[0] = rows[0] * -1  # the largest degree, negated, first
+    with pytest.raises(InternalInconsistencyError, match="positive integer"):
+        CharacterTable(G, rows, tab.prime).verify()
+    assert CharacterTable(G, list(reversed(tab.irr)), tab.prime).verify()
+
+
 def test_a_failed_certificate_is_not_retried_on_another_prime(monkeypatch):
     # the first admissible prime always splits the class algebra, so a failed
     # verify is a fault to report, not a reason to try the next prime

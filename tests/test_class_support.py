@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from _oracles import oracle_class_matrix
 from _products import PAIRS, direct_product
 from formata.catalog import catalog_group, load_catalog
+from formata.characters import character_table
 from formata.errors import InternalInconsistencyError
 from formata.formations import Formation, projector, residual
 from formata.groups import (
@@ -60,6 +61,16 @@ def assert_class_matrices_match_oracle(G):
     products = class_products(G)
     for i in range(len(G.conjugacy_classes())):
         assert np.array_equal(class_matrix(G, i, products), oracle_class_matrix(G, i)), i
+
+
+def test_class_products_are_gathered_once_per_group():
+    # the class support and Dixon's split read the same read-only int32 arrays
+    G = generate(4, ["(0 1)", "(0 1 2 3)"])
+    js, inverse = class_products(G)
+    assert js.dtype == inverse.dtype == np.int32
+    assert not js.flags.writeable and not inverse.flags.writeable
+    class_support(G), character_table(G)
+    assert class_products(G)[0] is js and class_products(G)[1] is inverse
 
 
 @pytest.mark.parametrize("entry", load_catalog(), ids=lambda entry: entry.name)

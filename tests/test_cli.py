@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -11,7 +12,7 @@ import pytest
 
 import formata
 import formata.cli as cli
-from formata import catalog, characters
+from formata import catalog, characters, groups
 from formata.catalog import catalog_group, load_catalog
 from formata.cli import run_command
 from formata.errors import CycleParseError
@@ -298,7 +299,20 @@ def test_over_cap_group_file_exit_2(tmp_path):
     proc = run_process("table", str(path), FORMATA_MAX_ORDER="5000")
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "error: group order 40320 exceeds cap 5000\n"
+    assert proc.stderr == "error: group order exceeds cap 5000\n"
+
+
+@pytest.mark.parametrize("n", [40, 60])
+def test_symmetric_group_file_is_refused_before_its_chain(capsys, monkeypatch, tmp_path, n):
+    # S_n's stabilizer chain takes minutes at n = 40; the capped closure stops at 5000 elements
+    path = tmp_path / ("sym%d.grp" % n)
+    path.write_text("degree %d\n(0 1)\n(%s)\n" % (n, " ".join(map(str, range(n)))))
+    monkeypatch.setenv("FORMATA_MAX_ORDER", "5000")
+    monkeypatch.setattr(groups, "build_chain", None)  # any chain would fail loudly
+    start = time.perf_counter()
+    code, out, err = run(capsys, "table", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", "error: group order exceeds cap 5000\n")
 
 
 @pytest.mark.parametrize(
@@ -318,7 +332,7 @@ def test_every_command_refuses_an_over_cap_group_first(capsys, monkeypatch, tmp_
     path.write_text("degree 8\n(0 1)\n(0 1 2 3 4 5 6 7)\n")
     monkeypatch.setenv("FORMATA_MAX_ORDER", "5000")
     code, out, err = run(capsys, *argv, str(path))
-    assert (code, out, err) == (2, "", "error: group order 40320 exceeds cap 5000\n")
+    assert (code, out, err) == (2, "", "error: group order exceeds cap 5000\n")
 
 
 def test_group_file_not_utf8_exit_2(capsys, tmp_path):
